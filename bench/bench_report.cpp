@@ -4,10 +4,10 @@
 //    matmul forward+backward — `matmul256/speedup_vs_seed` is the
 //    acceptance metric for the parallel compute layer (>= 3x at 4
 //    threads).
-//  - BENCH_datapath.json: the zero-copy pooled data path against the
-//    copying legacy path over the same hot working set, plus the
-//    OutOfCoreAdam steady-state loop. Acceptance: >= 2x reduction in
-//    bytes-copied-per-step, and 0 pool misses per step after warmup.
+//  - BENCH_datapath.json: the pooled Buffer data path at steady state —
+//    a hot write+read working set through the transfer engine, and the
+//    AsyncUpdateEngine step loop. Expected: 0 pool misses per step after
+//    warmup (every lease is served from the warm free lists).
 //
 // Usage: bench_report [kernels.json] [datapath.json]
 //        (defaults: BENCH_kernels.json BENCH_datapath.json)
@@ -27,8 +27,8 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "optim/cpu_adam.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/compute_pool.h"
-#include "runtime/out_of_core_adam.h"
 #include "simd/simd.h"
 #include "xfer/transfer_engine.h"
 
@@ -328,37 +328,29 @@ int main(int argc, char** argv) {
   const int kKeys = 4;
   const int steps = smoke ? 2 : 24;
 
-  // A/B: the same write+read working set through the legacy copying API
-  // and through pooled buffers, bytes-copied and pool misses per step
-  // read out of the engine's own accounting (measured, not asserted).
-  auto run_mode = [&](bool pooled, double* bytes_copied_per_step,
-                      double* pool_allocs_per_step) -> bool {
+  // The same write+read working set every step through pooled buffers;
+  // pool misses per step read out of the pool's own accounting
+  // (measured, not asserted).
+  {
     TransferOptions opts;
-    opts.dir = bench_dir + (pooled ? "_pooled" : "_copying");
+    opts.dir = bench_dir + "_pooled";
     opts.num_stripes = 4;
     opts.chunk_bytes = 1 << 20;
     opts.host_cache_bytes = int64_t{64} << 20;
     opts.io_workers = 2;
     auto engine = TransferEngine::Open(opts);
-    if (!engine.ok()) return false;
-    std::vector<uint8_t> data(blob, 0x5A);
-    std::vector<uint8_t> out(blob);
+    if (!engine.ok()) {
+      std::cerr << "datapath bench: engine open failed\n";
+      return 1;
+    }
     auto one_step = [&] {
       for (int k = 0; k < kKeys; ++k) {
         const std::string key = "k" + std::to_string(k);
-        if (pooled) {
-          Buffer payload = (*engine)->buffer_pool().Lease(blob);
-          std::memset(payload.mutable_data(), k, blob);
-          (void)(*engine)->WriteBuffer(FlowClass::kGradState, key,
-                                       std::move(payload));
-          Buffer in;
-          (void)(*engine)->Wait(
-              (*engine)->SubmitRead(FlowClass::kGradState, key, &in, blob));
-        } else {
-          (void)(*engine)->Write(FlowClass::kGradState, key, data.data(),
-                                 blob);
-          (void)(*engine)->Read(FlowClass::kGradState, key, out.data(), blob);
-        }
+        Buffer payload = (*engine)->buffer_pool().Lease(blob);
+        std::memset(payload.mutable_data(), k, blob);
+        (void)(*engine)->WriteBuffer(FlowClass::kGradState, key,
+                                     std::move(payload));
+        (void)(*engine)->ReadBuffer(FlowClass::kGradState, key, blob);
       }
     };
     // Warmup twice: pass 1 populates the tier (which pins one generation
@@ -366,35 +358,17 @@ int main(int argc, char** argv) {
     // lease->publish->recycle cycle needs. After that: zero pool misses.
     one_step();
     one_step();
-    const TransferStats t0 = (*engine)->stats();
     const BufferPool::Stats p0 = (*engine)->buffer_pool().stats();
     for (int i = 0; i < steps; ++i) one_step();
-    const TransferStats d = Delta((*engine)->stats(), t0);
     const BufferPool::Stats p1 = (*engine)->buffer_pool().stats();
-    int64_t copied = 0;
-    for (int i = 0; i < kNumFlowClasses; ++i) copied += d.flow[i].bytes_copied;
-    *bytes_copied_per_step = static_cast<double>(copied) / steps;
-    *pool_allocs_per_step =
-        static_cast<double>(p1.allocations - p0.allocations) / steps;
-    return true;
-  };
-  double copying_bytes = 0, copying_allocs = 0;
-  double pooled_bytes = 0, pooled_allocs = 0;
-  if (!run_mode(false, &copying_bytes, &copying_allocs) ||
-      !run_mode(true, &pooled_bytes, &pooled_allocs)) {
-    std::cerr << "datapath bench: engine open failed\n";
-    return 1;
+    datapath.Add("xfer/pool_misses_per_step", 1,
+                 static_cast<double>(p1.allocations - p0.allocations) / steps,
+                 "");
   }
-  datapath.Add("xfer/copying_bytes_copied_per_step", 1, copying_bytes, "B");
-  datapath.Add("xfer/pooled_bytes_copied_per_step", 1, pooled_bytes, "B");
-  datapath.Add("xfer/copy_reduction", 1,
-               copying_bytes / std::max(pooled_bytes, 1.0), "x");
-  datapath.Add("xfer/copying_pool_misses_per_step", 1, copying_allocs, "");
-  datapath.Add("xfer/pooled_pool_misses_per_step", 1, pooled_allocs, "");
 
-  // OutOfCoreAdam steady state: the read->update->writeback pipeline
-  // leases every buffer from the warm free lists — zero pool misses and
-  // zero host copies per optimizer step.
+  // AsyncUpdateEngine steady state: the read->update->writeback pipeline
+  // leases every buffer from the warm free lists — zero pool misses per
+  // optimizer step.
   {
     TransferOptions opts;
     opts.dir = bench_dir + "_adam";
@@ -408,7 +382,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const int64_t np = smoke ? 1 << 12 : 1 << 16;
-    OutOfCoreAdam adam(AdamConfig{}, engine->get());
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get());
     Rng arng(9);
     std::vector<float> init(np);
     for (auto& p : init) p = static_cast<float>(arng.NextGaussian());
@@ -421,15 +395,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (int i = 0; i < 3; ++i) (void)adam.StepTensor("w", grads16);
-    const TransferStats t0 = (*engine)->stats();
     const BufferPool::Stats p0 = (*engine)->buffer_pool().stats();
     for (int i = 0; i < steps; ++i) (void)adam.StepTensor("w", grads16);
-    const TransferStats d = Delta((*engine)->stats(), t0);
     const BufferPool::Stats p1 = (*engine)->buffer_pool().stats();
-    int64_t copied = 0;
-    for (int i = 0; i < kNumFlowClasses; ++i) copied += d.flow[i].bytes_copied;
-    datapath.Add("adam/bytes_copied_per_step", 1,
-                 static_cast<double>(copied) / steps, "B");
     datapath.Add("adam/pool_misses_per_step", 1,
                  static_cast<double>(p1.allocations - p0.allocations) / steps,
                  "");

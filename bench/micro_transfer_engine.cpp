@@ -50,6 +50,14 @@ std::unique_ptr<TransferEngine> OpenOrDie(const std::string& tag,
   return std::move(*engine);
 }
 
+// Stages `size` bytes into a pooled buffer: the one host copy a caller
+// holding its bytes elsewhere pays to enter the Buffer data path.
+ratel::Buffer Stage(TransferEngine& engine, const void* data, int64_t size) {
+  ratel::Buffer staged = engine.buffer_pool().Lease(size);
+  std::memcpy(staged.mutable_data(), data, size);
+  return staged;
+}
+
 // Write + read round trips of one flow class; range(0) selects the flow
 // so the four classes (two priorities) appear side by side in the report.
 void BM_EngineRoundTripByFlow(benchmark::State& state) {
@@ -61,14 +69,13 @@ void BM_EngineRoundTripByFlow(benchmark::State& state) {
   Rng rng(7);
   std::vector<uint8_t> data(blob_size);
   for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
-  std::vector<uint8_t> out(blob_size);
   int i = 0;
   for (auto _ : state) {
     const std::string key = "k" + std::to_string(i++ % 8);
     benchmark::DoNotOptimize(
-        engine->Write(flow, key, data.data(), blob_size).ok());
-    benchmark::DoNotOptimize(
-        engine->Read(flow, key, out.data(), blob_size).ok());
+        engine->WriteBuffer(flow, key, Stage(*engine, data.data(), blob_size))
+            .ok());
+    benchmark::DoNotOptimize(engine->ReadBuffer(flow, key, blob_size).ok());
   }
   state.SetBytesProcessed(state.iterations() * 2 * blob_size);
   state.SetLabel(FlowClassName(flow));
@@ -85,16 +92,14 @@ void BM_EngineCachedRead(benchmark::State& state) {
   if (!engine) return;
   std::vector<uint8_t> data(blob_size, 0x5A);
   for (int i = 0; i < 8; ++i) {
-    (void)engine->Write(FlowClass::kParamFetch, "k" + std::to_string(i),
-                        data.data(), blob_size);
+    (void)engine->WriteBuffer(FlowClass::kParamFetch, "k" + std::to_string(i),
+                              Stage(*engine, data.data(), blob_size));
   }
-  std::vector<uint8_t> out(blob_size);
   int i = 0;
   for (auto _ : state) {
     const std::string key = "k" + std::to_string(i++ % 8);
     benchmark::DoNotOptimize(
-        engine->Read(FlowClass::kParamFetch, key, out.data(), blob_size)
-            .ok());
+        engine->ReadBuffer(FlowClass::kParamFetch, key, blob_size).ok());
   }
   state.SetBytesProcessed(state.iterations() * blob_size);
   state.SetLabel(cached ? "dram_tier" : "store");
@@ -114,16 +119,16 @@ void BM_EngineMixedPriorityDrain(benchmark::State& state) {
   std::vector<uint8_t> data(blob_size, 0x3C);
   const int keys = fetches > writebacks ? fetches : writebacks;
   for (int i = 0; i < keys; ++i) {
-    (void)engine->Write(FlowClass::kParamFetch, "p" + std::to_string(i),
-                        data.data(), blob_size);
+    (void)engine->WriteBuffer(FlowClass::kParamFetch, "p" + std::to_string(i),
+                              Stage(*engine, data.data(), blob_size));
   }
-  std::vector<std::vector<uint8_t>> outs(fetches);
+  std::vector<ratel::Buffer> outs(fetches);
   for (auto _ : state) {
     for (int i = 0; i < keys; ++i) {
       if (i < writebacks) {
         (void)engine->SubmitWrite(FlowClass::kGradState,
-                                  "s" + std::to_string(i), data.data(),
-                                  blob_size);
+                                  "s" + std::to_string(i),
+                                  Stage(*engine, data.data(), blob_size));
       }
       if (i < fetches) {
         (void)engine->SubmitRead(FlowClass::kParamFetch,
@@ -146,42 +151,25 @@ BENCHMARK(BM_EngineMixedPriorityDrain)
     ->Args({16, 16})   // balanced contention
     ->Args({32, 8});   // fetch-heavy (the starvation-prone regime)
 
-// Pooled (buffer-native) vs copying (legacy pointer) A/B over the same
-// hot working set: write + read back 4 blobs per step through the DRAM
-// tier. The per-step counters come from the engine's own accounting —
-// bytes_copied_per_step is the host-copy traffic the pooled mode
-// eliminates, pool_allocs_per_step the steady-state pool misses (0 once
-// the free lists are warm).
-void BM_EngineDataPathABMode(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
+// Steady state of the pooled Buffer data path over a hot working set:
+// write + read back 4 blobs per step through the DRAM tier.
+// pool_allocs_per_step is the steady-state pool-miss count, read out of
+// the pool's own accounting (0 once the free lists are warm).
+void BM_EngineDataPathSteadyState(benchmark::State& state) {
   const int64_t blob_size = 256 << 10;
   constexpr int kKeys = 4;
-  auto engine = OpenOrDie(pooled ? "ab_pooled" : "ab_copying",
-                          /*cache_bytes=*/int64_t{64} << 20, state);
+  auto engine = OpenOrDie("steady", /*cache_bytes=*/int64_t{64} << 20, state);
   if (!engine) return;
-  std::vector<uint8_t> data(blob_size, 0x5A);
-  std::vector<uint8_t> out(blob_size);
   auto step = [&] {
     for (int k = 0; k < kKeys; ++k) {
       const std::string key = "k" + std::to_string(k);
-      if (pooled) {
-        ratel::Buffer payload = engine->buffer_pool().Lease(blob_size);
-        std::memset(payload.mutable_data(), k, blob_size);
-        benchmark::DoNotOptimize(
-            engine->WriteBuffer(FlowClass::kGradState, key,
-                                std::move(payload)).ok());
-        ratel::Buffer in;
-        benchmark::DoNotOptimize(
-            engine->Wait(engine->SubmitRead(FlowClass::kGradState, key, &in,
-                                            blob_size)).ok());
-      } else {
-        benchmark::DoNotOptimize(
-            engine->Write(FlowClass::kGradState, key, data.data(), blob_size)
-                .ok());
-        benchmark::DoNotOptimize(
-            engine->Read(FlowClass::kGradState, key, out.data(), blob_size)
-                .ok());
-      }
+      ratel::Buffer payload = engine->buffer_pool().Lease(blob_size);
+      std::memset(payload.mutable_data(), k, blob_size);
+      benchmark::DoNotOptimize(
+          engine->WriteBuffer(FlowClass::kGradState, key, std::move(payload))
+              .ok());
+      benchmark::DoNotOptimize(
+          engine->ReadBuffer(FlowClass::kGradState, key, blob_size).ok());
     }
   };
   // Warmup twice: pass 1 populates the tier (which pins one generation
@@ -189,24 +177,15 @@ void BM_EngineDataPathABMode(benchmark::State& state) {
   // lease->publish->recycle cycle needs. After that: zero pool misses.
   step();
   step();
-  const ratel::TransferStats t0 = engine->stats();
   const ratel::BufferPool::Stats p0 = engine->buffer_pool().stats();
   for (auto _ : state) step();
-  const ratel::TransferStats d = Delta(engine->stats(), t0);
   const ratel::BufferPool::Stats p1 = engine->buffer_pool().stats();
-  int64_t copied = 0;
-  for (int i = 0; i < ratel::kNumFlowClasses; ++i) {
-    copied += d.flow[i].bytes_copied;
-  }
-  const double steps = static_cast<double>(state.iterations());
-  state.counters["bytes_copied_per_step"] =
-      benchmark::Counter(static_cast<double>(copied) / steps);
   state.counters["pool_allocs_per_step"] = benchmark::Counter(
-      static_cast<double>(p1.allocations - p0.allocations) / steps);
+      static_cast<double>(p1.allocations - p0.allocations) /
+      static_cast<double>(state.iterations()));
   state.SetBytesProcessed(state.iterations() * 2 * kKeys * blob_size);
-  state.SetLabel(pooled ? "pooled" : "copying");
 }
-BENCHMARK(BM_EngineDataPathABMode)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineDataPathSteadyState);
 
 // Codec A/B on the spill flow: the same float working set round-tripped
 // raw, framed (identity), demoted (fp16), and sparsified (topk). The
@@ -232,17 +211,16 @@ void BM_EngineCodecABMode(benchmark::State& state) {
   Rng rng(11);
   std::vector<float> data(blob_size / 4);
   for (auto& v : data) v = static_cast<float>(rng.NextGaussian());
-  std::vector<float> out(data.size());
   auto step = [&] {
     for (int k = 0; k < 4; ++k) {
       const std::string key = "a" + std::to_string(k);
       benchmark::DoNotOptimize(
-          engine->Write(FlowClass::kActivationSpill, key, data.data(),
-                        blob_size)
+          engine
+              ->WriteBuffer(FlowClass::kActivationSpill, key,
+                            Stage(*engine, data.data(), blob_size))
               .ok());
       benchmark::DoNotOptimize(
-          engine->Read(FlowClass::kActivationSpill, key, out.data(),
-                       blob_size)
+          engine->ReadBuffer(FlowClass::kActivationSpill, key, blob_size)
               .ok());
     }
   };

@@ -444,79 +444,47 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
   return engine_->WaitAll(writes);
 }
 
+Result<int64_t> AsyncUpdateEngine::DrainedSize(const std::string& name,
+                                               int64_t* step) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = meta_.find(name);
+  if (it == meta_.end()) {
+    return Status::NotFound("tensor '" + name + "' not registered");
+  }
+  // The drain releases mu_ while it waits, and a concurrent Register
+  // may rehash meta_: hold the element by reference, not by iterator.
+  const TensorMeta& meta = it->second;
+  RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, meta));
+  if (step != nullptr) *step = meta.step;
+  return meta.size;
+}
+
 Status AsyncUpdateEngine::FetchParams16(const std::string& name,
                                         std::vector<Fp16>* out) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-  }
+  RATEL_ASSIGN_OR_RETURN(const int64_t n, DrainedSize(name));
+  RATEL_ASSIGN_OR_RETURN(
+      Buffer p16, engine_->ReadBuffer(FlowClass::kParamFetch, P16Key(name),
+                                      2 * n));
   out->resize(n);
-  return engine_->Read(FlowClass::kParamFetch, P16Key(name), out->data(),
-                       2 * n);
+  if (n > 0) std::memcpy(out->data(), p16.data(), 2 * n);
+  return Status::Ok();
 }
 
 Status AsyncUpdateEngine::FetchMasterParams(const std::string& name,
                                             std::vector<float>* out) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-  }
+  RATEL_ASSIGN_OR_RETURN(const int64_t n, DrainedSize(name));
+  RATEL_ASSIGN_OR_RETURN(
+      Buffer p32, engine_->ReadBuffer(FlowClass::kCheckpoint, P32Key(name),
+                                      4 * n));
   out->resize(n);
-  return engine_->Read(FlowClass::kCheckpoint, P32Key(name), out->data(),
-                       4 * n);
-}
-
-Status AsyncUpdateEngine::ExportState(const std::string& name, int64_t* step,
-                                      std::vector<float>* p32,
-                                      std::vector<float>* m,
-                                      std::vector<float>* v) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-    *step = it->second.step;
-  }
-  p32->resize(n);
-  m->resize(n);
-  v->resize(n);
-  RATEL_RETURN_IF_ERROR(
-      engine_->Read(FlowClass::kCheckpoint, P32Key(name), p32->data(), 4 * n));
-  RATEL_RETURN_IF_ERROR(
-      engine_->Read(FlowClass::kCheckpoint, MomKey(name), m->data(), 4 * n));
-  return engine_->Read(FlowClass::kCheckpoint, VarKey(name), v->data(), 4 * n);
+  if (n > 0) std::memcpy(out->data(), p32.data(), 4 * n);
+  return Status::Ok();
 }
 
 Status AsyncUpdateEngine::ExportStateBuffers(const std::string& name,
                                              int64_t* step, Buffer* p32,
                                              Buffer* m, Buffer* v) const {
-  int64_t n = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = meta_.find(name);
-    if (it == meta_.end()) {
-      return Status::NotFound("tensor '" + name + "' not registered");
-    }
-    n = it->second.size;
-    RATEL_RETURN_IF_ERROR(DrainMetaLocked(lock, it->second));
-    *step = it->second.step;
-  }
+  RATEL_ASSIGN_OR_RETURN(const int64_t n, DrainedSize(name, step));
   const std::vector<TransferEngine::Ticket> reads = {
       engine_->SubmitRead(FlowClass::kCheckpoint, P32Key(name), p32, 4 * n),
       engine_->SubmitRead(FlowClass::kCheckpoint, MomKey(name), m, 4 * n),
@@ -586,12 +554,7 @@ Status AsyncUpdateEngine::ImportState(const std::string& name, int64_t step,
 }
 
 Status AsyncUpdateEngine::DrainTensor(const std::string& name) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = meta_.find(name);
-  if (it == meta_.end()) {
-    return Status::NotFound("tensor '" + name + "' not registered");
-  }
-  return DrainMetaLocked(lock, it->second);
+  return DrainedSize(name).status();
 }
 
 Status AsyncUpdateEngine::DrainAll() const {

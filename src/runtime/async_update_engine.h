@@ -162,16 +162,11 @@ class AsyncUpdateEngine {
 
   /// Reads the complete optimizer state of `name` — P32, both moment
   /// buffers, and the per-tensor Adam step — as FlowClass::kCheckpoint
-  /// traffic. Drains first: the crash-consistent checkpoint read path
-  /// never snapshots a tensor mid-epoch.
-  Status ExportState(const std::string& name, int64_t* step,
-                     std::vector<float>* p32, std::vector<float>* m,
-                     std::vector<float>* v) const;
-
-  /// Zero-copy ExportState: yields published (read-only) buffer refs to
-  /// P32 and the moments — DRAM-hot state costs no host copy, cold
-  /// state lands in pooled staging. The checkpoint writer streams shard
-  /// payloads straight out of these.
+  /// traffic, yielding published (read-only) buffer refs: DRAM-hot
+  /// state costs no host copy, cold state lands in pooled staging. The
+  /// checkpoint writer streams shard payloads straight out of these.
+  /// Drains first: the crash-consistent checkpoint read path never
+  /// snapshots a tensor mid-epoch.
   Status ExportStateBuffers(const std::string& name, int64_t* step,
                             Buffer* p32, Buffer* m, Buffer* v) const;
 
@@ -225,6 +220,11 @@ class AsyncUpdateEngine {
   /// enough whenever the DRAM tier serves same-key reads coherently.
   Status DrainMetaLocked(std::unique_lock<std::mutex>& lock,
                          const TensorMeta& meta) const;
+
+  /// Looks `name` up, drains its pending epoch, and returns its element
+  /// count (and, when `step` is non-null, its Adam step).
+  Result<int64_t> DrainedSize(const std::string& name,
+                              int64_t* step = nullptr) const;
 
   /// True when reads must wait for resolved store writes (no DRAM tier
   /// to make published-but-unresolved writes coherent).

@@ -47,7 +47,7 @@ Status ReadBytes(std::FILE* f, void* data, size_t n) {
 
 }  // namespace
 
-Status Save(OutOfCoreAdam& adam, const std::vector<std::string>& names,
+Status Save(AsyncUpdateEngine& adam, const std::vector<std::string>& names,
             const std::string& path) {
   // Barrier: any state writeback still queued behind the engine must
   // land before the master copies are read out.

@@ -291,10 +291,16 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
       for (size_t i : spill_set) {
         ag::Node& node = *acts[i];
         const int64_t bytes = 4 * node.NumElements();
+        // Stage the activation into one pooled buffer (the single host
+        // copy of the swap-out), then share it tier-wide.
+        Buffer staged = engine_->buffer_pool().Lease(bytes);
+        if (bytes > 0) {
+          std::memcpy(staged.mutable_data(), node.value.data(), bytes);
+        }
         spill_writes.push_back(engine_->SubmitWrite(
             FlowClass::kActivationSpill,
             options_.key_namespace + "act/" + std::to_string(i),
-            node.value.data(), bytes));
+            std::move(staged)));
         spilled += bytes;
       }
       Status first_spill_error;

@@ -118,24 +118,6 @@ void IoScheduler::SetTenantWeight(int tenant, int weight) {
 }
 
 IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
-                                             const void* data, int64_t size,
-                                             Priority priority,
-                                             CompletionFn on_complete,
-                                             int flow_tag, int tenant_tag) {
-  Request req;
-  req.is_write = true;
-  req.key = key;
-  req.payload = Buffer::CopyOf(data, size);
-  req.out = nullptr;
-  req.size = size;
-  req.priority = priority;
-  req.on_complete = std::move(on_complete);
-  req.flow_tag = flow_tag;
-  req.tenant_tag = tenant_tag;
-  return Enqueue(std::move(req));
-}
-
-IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
                                              Buffer payload,
                                              Priority priority,
                                              CompletionFn on_complete,
@@ -144,26 +126,7 @@ IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
   req.is_write = true;
   req.key = key;
   req.size = payload.size();
-  req.payload = std::move(payload);
-  req.out = nullptr;
-  req.priority = priority;
-  req.on_complete = std::move(on_complete);
-  req.flow_tag = flow_tag;
-  req.tenant_tag = tenant_tag;
-  return Enqueue(std::move(req));
-}
-
-IoScheduler::Ticket IoScheduler::SubmitRead(const std::string& key,
-                                            std::vector<uint8_t>* out,
-                                            int64_t size, Priority priority,
-                                            CompletionFn on_complete,
-                                            int flow_tag, int tenant_tag) {
-  RATEL_CHECK(out != nullptr);
-  Request req;
-  req.is_write = false;
-  req.key = key;
-  req.out = out;
-  req.size = size;
+  req.data = std::move(payload);
   req.priority = priority;
   req.on_complete = std::move(on_complete);
   req.flow_tag = flow_tag;
@@ -179,9 +142,8 @@ IoScheduler::Ticket IoScheduler::SubmitRead(const std::string& key,
   Request req;
   req.is_write = false;
   req.key = key;
-  req.out = nullptr;
   req.size = dst.size();
-  req.dst = std::move(dst);
+  req.data = std::move(dst);
   req.priority = priority;
   req.on_complete = std::move(on_complete);
   req.finalize = std::move(finalize);
@@ -204,17 +166,12 @@ IoResult IoScheduler::Execute(Request& req) {
       if (tuning_.write_channel != nullptr) {
         tuning_.write_channel->Consume(req.size);
       }
-      status = store_->Put(req.key, req.payload.data(), req.size);
+      status = store_->Put(req.key, req.data.data(), req.size);
     } else {
       if (tuning_.read_channel != nullptr) {
         tuning_.read_channel->Consume(req.size);
       }
-      if (req.out != nullptr) {
-        req.out->resize(req.size);
-        status = store_->Get(req.key, req.out->data(), req.size);
-      } else {
-        status = store_->Get(req.key, req.dst.mutable_data(), req.size);
-      }
+      status = store_->Get(req.key, req.data.mutable_data(), req.size);
       if (status.ok() && req.finalize) {
         // Post-read validation (codec frame CRC + decode). A failure —
         // typically kDataLoss — fails this attempt and is retried like
@@ -294,14 +251,13 @@ void IoScheduler::WorkerLoop() {
 
     const IoResult result = Execute(req);
     if (req.on_complete) req.on_complete(result);
-    // Drop every buffer reference this request pins — the payload, the
-    // zero-copy read target, and any Buffer captured inside the
-    // completion closure — *before* the ticket resolves. A waiter may
+    // Drop every buffer reference this request pins — the write payload
+    // or read target, and any Buffer captured inside the completion
+    // closure — *before* the ticket resolves. A waiter may
     // Lease the moment Wait() returns and must find these blocks back
     // in the pool (the allocation-free steady-state contract), not
     // still held by this worker.
-    req.payload.reset();
-    req.dst.reset();
+    req.data.reset();
     req.on_complete = nullptr;
     req.finalize = nullptr;
 

@@ -1,7 +1,6 @@
 #include "xfer/transfer_engine.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,7 +81,6 @@ TransferStats Delta(const TransferStats& later, const TransferStats& earlier) {
     out.retries = a.retries - b.retries;
     out.giveups = a.giveups - b.giveups;
     out.backoff_seconds = a.backoff_seconds - b.backoff_seconds;
-    out.bytes_copied = a.bytes_copied - b.bytes_copied;
     out.allocs_avoided = a.allocs_avoided - b.allocs_avoided;
     out.encoded_bytes_written = a.encoded_bytes_written - b.encoded_bytes_written;
     out.encoded_bytes_read = a.encoded_bytes_read - b.encoded_bytes_read;
@@ -137,8 +135,7 @@ Result<std::unique_ptr<TransferEngine>> TransferEngine::Open(
         "ssd-write", options.write_bandwidth, engine->injector_);
   }
   if (options.host_cache_bytes > 0) {
-    engine->cache_ = std::make_unique<TierCache>(engine->store_.get(),
-                                                 options.host_cache_bytes);
+    engine->cache_ = std::make_unique<TierCache>(options.host_cache_bytes);
   }
   RATEL_ASSIGN_OR_RETURN(engine->codecs_,
                          CodecRegistry::Create(options.codec));
@@ -160,14 +157,15 @@ TransferEngine::~TransferEngine() {
   sched_.reset();
 }
 
-TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
-                                                       const std::string& key,
-                                                       Buffer payload,
-                                                       int64_t staging_copies) {
+TransferEngine::Ticket TransferEngine::SubmitWrite(FlowClass flow,
+                                                   const std::string& key,
+                                                   Buffer payload) {
   const TenantId tenant = CurrentTenant();
   const int64_t size = payload.size();
   const Codec* codec = codecs_.ForFlow(flow);
-  int64_t avoided = 0;
+  // One allocation avoided per leg sharing the published buffer: the
+  // store leg always, the DRAM leg when admitted below.
+  int64_t avoided = 1;
   // Write-through: the DRAM tier takes a *reference* to the published
   // logical payload — visible to same-key reads immediately, and one
   // whole allocation+copy cheaper than the old copy-per-tier design.
@@ -185,9 +183,6 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
       cache_->Invalidate(key);
     }
   }
-  // Buffer-native callers staged nothing: the scheduler's old internal
-  // payload copy is avoided too.
-  if (staging_copies == 0) ++avoided;
   // Codec'd flows ship a framed encoding to the store instead of the
   // logical bytes: encode into one pooled buffer, publish once.
   Buffer store_payload;
@@ -235,7 +230,6 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
       static_cast<int>(flow), tenant);
   std::lock_guard<std::mutex> lock(mu_);
   AccountLocked(tenant, flow, [&](FlowCounters& c) {
-    c.bytes_copied += staging_copies * size;
     c.allocs_avoided += avoided;
     if (codec != nullptr) {
       ++c.encodes;
@@ -247,26 +241,9 @@ TransferEngine::Ticket TransferEngine::SubmitWriteImpl(FlowClass flow,
   return ticket;
 }
 
-TransferEngine::Ticket TransferEngine::SubmitWrite(FlowClass flow,
-                                                   const std::string& key,
-                                                   const void* data,
-                                                   int64_t size) {
-  // Legacy pointer API: stage the caller's bytes into one pooled buffer
-  // (the single host copy of this write), then share it tier-wide.
-  Buffer staged = pool_.Lease(size);
-  if (size > 0) std::memcpy(staged.mutable_data(), data, size);
-  return SubmitWriteImpl(flow, key, std::move(staged), /*staging_copies=*/1);
-}
-
-TransferEngine::Ticket TransferEngine::SubmitWrite(FlowClass flow,
-                                                   const std::string& key,
-                                                   Buffer payload) {
-  return SubmitWriteImpl(flow, key, std::move(payload), /*staging_copies=*/0);
-}
-
 TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
     FlowClass flow, const std::string& key, const Codec& codec, int64_t size,
-    std::function<int64_t(const Buffer&)> deliver) {
+    Buffer* out) {
   const TenantId tenant = CurrentTenant();
   // The frame size is a pure function of the logical size (the codec
   // contract), so no metadata round trip is needed to size the fetch.
@@ -288,12 +265,11 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
   const bool count_miss = cache_ != nullptr;
   IoScheduler::Ticket io_ticket = sched_->SubmitRead(
       key, frame, FlowPriority(flow),
-      [this, flow, tenant, key, dst, frame_bytes, size, start, count_miss,
-       decode_state, deliver = std::move(deliver)](const IoResult& result) {
+      [this, flow, tenant, key, dst, out, frame_bytes, size, start,
+       count_miss, decode_state](const IoResult& result) {
         bool promoted = false;
-        int64_t delivered_copy = 0;
         if (result.status.ok()) {
-          delivered_copy = deliver(dst);
+          *out = dst;  // delivered by reference, before the ticket resolves
           if (cache_ != nullptr) {
             // Promote the *decoded* bytes by reference. A later DRAM
             // hit then returns exactly what this store round trip
@@ -310,7 +286,6 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
             ++c.reads;
             if (count_miss) ++c.cache_misses;
             if (promoted) ++c.allocs_avoided;
-            c.bytes_copied += delivered_copy;
             c.read_seconds += elapsed;
             c.retries += result.attempts - 1;
             c.backoff_seconds += result.backoff_seconds;
@@ -346,81 +321,6 @@ TransferEngine::Ticket TransferEngine::SubmitCodecReadMiss(
 
 TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
                                                   const std::string& key,
-                                                  std::vector<uint8_t>* out,
-                                                  int64_t size) {
-  RATEL_CHECK(out != nullptr);
-  const TenantId tenant = CurrentTenant();
-  if (cache_ != nullptr) {
-    out->resize(size);
-    if (cache_->TryGet(key, out->data(), size)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      AccountLocked(tenant, flow, [&](FlowCounters& c) {
-        ++c.reads;
-        ++c.cache_hits;
-        c.bytes_read += size;
-        c.bytes_from_cache += size;
-        c.bytes_copied += size;  // TryGet memcpy'd into the caller vector
-      });
-      Ticket ticket = next_ticket_++;
-      resolved_.emplace(ticket, Status::Ok());
-      return ticket;
-    }
-  }
-  if (const Codec* codec = codecs_.ForFlow(flow)) {
-    out->resize(size);
-    return SubmitCodecReadMiss(flow, key, *codec, size,
-                               [out, size](const Buffer& dst) {
-                                 if (size > 0) {
-                                   std::memcpy(out->data(), dst.data(), size);
-                                 }
-                                 return size;
-                               });
-  }
-  AcquireInflight(tenant, size);
-  const auto start = std::chrono::steady_clock::now();
-  const bool count_miss = cache_ != nullptr;
-  IoScheduler::Ticket io_ticket = sched_->SubmitRead(
-      key, out, size, FlowPriority(flow),
-      [this, flow, tenant, key, out, size, start,
-       count_miss](const IoResult& result) {
-        bool promoted = false;
-        if (result.status.ok() && cache_ != nullptr) {
-          // Promote the cold blob into the DRAM tier. The caller owns
-          // `out`, so the tier needs its own copy here — the buffer-
-          // native read path avoids it.
-          cache_->Admit(key, out->data(), size, tenant);
-          promoted = true;
-        }
-        const double elapsed = SecondsSince(start);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          AccountLocked(tenant, flow, [&](FlowCounters& c) {
-            ++c.reads;
-            if (count_miss) ++c.cache_misses;
-            if (promoted) c.bytes_copied += size;
-            c.read_seconds += elapsed;
-            c.retries += result.attempts - 1;
-            c.backoff_seconds += result.backoff_seconds;
-            if (result.gave_up) ++c.giveups;
-            if (result.status.ok()) {
-              c.bytes_read += size;
-              c.encoded_bytes_read += size;  // raw path: encoded == logical
-            } else {
-              ++c.errors;
-            }
-          });
-        }
-        ReleaseInflight(tenant, size);
-      },
-      static_cast<int>(flow), tenant);
-  std::lock_guard<std::mutex> lock(mu_);
-  Ticket ticket = next_ticket_++;
-  inflight_.emplace(ticket, io_ticket);
-  return ticket;
-}
-
-TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
-                                                  const std::string& key,
                                                   Buffer* out, int64_t size) {
   RATEL_CHECK(out != nullptr);
   const TenantId tenant = CurrentTenant();
@@ -442,11 +342,7 @@ TransferEngine::Ticket TransferEngine::SubmitRead(FlowClass flow,
     }
   }
   if (const Codec* codec = codecs_.ForFlow(flow)) {
-    return SubmitCodecReadMiss(flow, key, *codec, size,
-                               [out](const Buffer& dst) {
-                                 *out = dst;  // zero-copy delivery
-                                 return int64_t{0};
-                               });
+    return SubmitCodecReadMiss(flow, key, *codec, size, out);
   }
   AcquireInflight(tenant, size);
   Buffer dst = pool_.Lease(size);
@@ -575,26 +471,6 @@ Status TransferEngine::Drain() {
   // so abandoned tickets do not accumulate (errors already folded into
   // the scheduler's first-error, returned above).
   for (IoScheduler::Ticket t : io_tickets) (void)sched_->Wait(t);
-  return status;
-}
-
-Status TransferEngine::Write(FlowClass flow, const std::string& key,
-                             const void* data, int64_t size) {
-  return Wait(SubmitWrite(flow, key, data, size));
-}
-
-Status TransferEngine::Read(FlowClass flow, const std::string& key, void* out,
-                            int64_t size) {
-  // Ride the buffer path: a DRAM hit costs one memcpy into `out`
-  // (the old vector detour cost two).
-  Buffer staged;
-  Status status = Wait(SubmitRead(flow, key, &staged, size));
-  if (status.ok() && size > 0) {
-    std::memcpy(out, staged.data(), size);
-    std::lock_guard<std::mutex> lock(mu_);
-    AccountLocked(CurrentTenant(), flow,
-                  [&](FlowCounters& c) { c.bytes_copied += size; });
-  }
   return status;
 }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,15 +50,10 @@ struct FlowCounters {
   int64_t giveups = 0;
   /// Total backoff sleep spent recovering this flow's requests.
   double backoff_seconds = 0.0;
-  /// Payload bytes the engine memcpy'd in host memory on behalf of this
-  /// flow (legacy pointer/vector API and copying conveniences).
-  /// Buffer-native traffic keeps this at 0 — the zero-copy acceptance
-  /// criterion, measured rather than asserted.
-  int64_t bytes_copied = 0;
   /// Staging allocations (and their copies) the shared-buffer design
-  /// avoided versus the old copy-per-tier path: one per write leg that
-  /// now shares the published buffer (DRAM ref, scheduler ref) and one
-  /// per read served or promoted by reference.
+  /// avoids versus a copy-per-tier path: one per write leg that shares
+  /// the published buffer (DRAM ref, scheduler ref) and one per read
+  /// served or promoted by reference.
   int64_t allocs_avoided = 0;
   /// ---- Codec accounting (see xfer/codec.h). bytes_read/bytes_written
   /// above always count *logical* (decoded) bytes; the encoded_* pair
@@ -175,7 +169,7 @@ struct TransferOptions {
 /// movement. Every operation is tagged with a FlowClass that decides its
 /// scheduling priority and its accounting bucket; reads are served from
 /// the DRAM tier when hot and promoted into it when cold; writes go
-/// write-through (DRAM copy immediately, store write asynchronously).
+/// write-through (DRAM ref immediately, store write asynchronously).
 ///
 /// Thread-safe. Ordering contract: operations on *different* keys are
 /// unordered; a read of a key observes a prior write of that key once
@@ -206,24 +200,15 @@ class TransferEngine {
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
 
-  /// Asynchronous write (data staged into one pooled buffer — exactly
-  /// one host copy — shared by the DRAM tier and the store path). A
+  /// Asynchronous write: the engine shares `payload` — one allocation,
+  /// zero host copies — between the DRAM tier and the store path. A
   /// DRAM-tier ref is admitted immediately so same-key reads are
-  /// coherent.
-  Ticket SubmitWrite(FlowClass flow, const std::string& key, const void* data,
-                     int64_t size);
-
-  /// Zero-copy asynchronous write: the engine shares `payload` — one
-  /// allocation, zero host copies — between the DRAM tier and the store
-  /// path. `payload` is published: no holder may mutate it afterwards.
+  /// coherent. `payload` is published: no holder may mutate it
+  /// afterwards. Callers holding bytes elsewhere lease a buffer from
+  /// buffer_pool() and fill it before submitting.
   Ticket SubmitWrite(FlowClass flow, const std::string& key, Buffer payload);
 
-  /// Asynchronous read into `out` (resized; must stay alive until the
-  /// ticket resolves). DRAM hits resolve immediately.
-  Ticket SubmitRead(FlowClass flow, const std::string& key,
-                    std::vector<uint8_t>* out, int64_t size);
-
-  /// Zero-copy asynchronous read: a DRAM hit points `*out` at the
+  /// Asynchronous read: a DRAM hit points `*out` at the
   /// cached buffer (a ref, no memcpy) and resolves immediately; a miss
   /// leases a destination from the pool, reads the store into it,
   /// promotes that same buffer into the DRAM tier by reference, and
@@ -254,9 +239,6 @@ class TransferEngine {
   Status Drain();
 
   /// Synchronous conveniences (submit + wait).
-  Status Write(FlowClass flow, const std::string& key, const void* data,
-               int64_t size);
-  Status Read(FlowClass flow, const std::string& key, void* out, int64_t size);
   Status WriteBuffer(FlowClass flow, const std::string& key, Buffer payload);
   Result<Buffer> ReadBuffer(FlowClass flow, const std::string& key,
                             int64_t size);
@@ -352,24 +334,12 @@ class TransferEngine {
   /// Releases bytes charged by AcquireInflight (from completions).
   void ReleaseInflight(TenantId tenant, int64_t size);
 
-  /// Shared write leg: publishes `payload` to the DRAM tier (by ref)
-  /// and the scheduler (by ref). `staging_copies` is the number of host
-  /// copies the caller already performed to stage the payload (1 for
-  /// the legacy pointer API, 0 for buffer-native). When the flow has a
-  /// codec, the logical payload is framed into a second pooled buffer
-  /// and the *frame* goes to the store.
-  Ticket SubmitWriteImpl(FlowClass flow, const std::string& key,
-                         Buffer payload, int64_t staging_copies);
-
-  /// Codec-path read miss shared by both SubmitRead overloads: fetches
-  /// the frame, CRC-verifies + decodes it in the worker's finalize hook
-  /// (retrying corrupt frames per RetryPolicy), then delivers the
-  /// decoded buffer through `deliver` before accounting. `deliver` runs
-  /// on the worker only when the read succeeded; it returns the number
-  /// of bytes it memcpy'd (0 for zero-copy delivery).
+  /// Codec-path read miss: fetches the frame, CRC-verifies + decodes it
+  /// in the worker's finalize hook (retrying corrupt frames per
+  /// RetryPolicy), then points `*out` at the decoded buffer before
+  /// accounting (only when the read succeeded).
   Ticket SubmitCodecReadMiss(FlowClass flow, const std::string& key,
-                             const Codec& codec, int64_t size,
-                             std::function<int64_t(const Buffer&)> deliver);
+                             const Codec& codec, int64_t size, Buffer* out);
 
   /// Re-rates both channels to base * live/total when the store's
   /// dead-stripe count changed since the last poll. Called from write

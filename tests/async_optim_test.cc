@@ -2,7 +2,7 @@
 //
 // The stall-free update pipeline promises two things at once:
 //   1. *Sync mode is untouched*: with AsyncUpdateOptions{} the engine is
-//      bitwise identical to the classic blocking OutOfCoreAdam — same
+//      bitwise identical to the classic blocking out-of-core Adam — same
 //      arithmetic, same per-flow traffic.
 //   2. *Async mode is exact, bounded, and reproducible*: deferring the
 //      tail chunks changes WHEN state is written, never WHAT — the
@@ -23,9 +23,10 @@
 #include "autograd/transformer.h"
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/compute_pool.h"
-#include "runtime/out_of_core_adam.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -176,7 +177,7 @@ TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
   AdamConfig cfg;
   cfg.lr = 1e-2;
   cfg.weight_decay = 0.01;
-  OutOfCoreAdam ooc(cfg, engine->get());  // defaults: sync mode
+  AsyncUpdateEngine ooc(cfg, engine->get());  // defaults: sync mode
   EXPECT_FALSE(ooc.async());
   ChunkedCpuAdam ram(cfg);
 
@@ -223,15 +224,17 @@ RunResult RunUpdates(const std::string& tag, const AsyncUpdateOptions& options,
   cfg.weight_decay = 0.05;
   RunResult result;
   {
-    OutOfCoreAdam ooc(cfg, engine->get(), options);
+    AsyncUpdateEngine ooc(cfg, engine->get(), options);
     EXPECT_TRUE(ooc.Register("w", RandomVec(n, 11)).ok());
     for (int step = 1; step <= steps; ++step) {
       EXPECT_TRUE(ooc.StepTensor("w", RandomGrads16(n, 500 + step)).ok());
     }
     int64_t adam_step = 0;
-    EXPECT_TRUE(
-        ooc.ExportState("w", &adam_step, &result.p32, &result.m, &result.v)
-            .ok());
+    Buffer p32, m, v;
+    EXPECT_TRUE(ooc.ExportStateBuffers("w", &adam_step, &p32, &m, &v).ok());
+    result.p32 = VectorOf<float>(p32);
+    result.m = VectorOf<float>(m);
+    result.v = VectorOf<float>(v);
     EXPECT_EQ(adam_step, steps);
     EXPECT_TRUE(ooc.FetchParams16("w", &result.p16).ok());
     result.stats = ooc.stats();
@@ -313,8 +316,8 @@ TEST(AsyncOptimTest, StalenessBoundEveryFetchSeesTheFullyAppliedStep) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
 
   const std::vector<float> init = RandomVec(kN, 21);
   ASSERT_TRUE(sync_adam.Register("w", init).ok());
@@ -364,8 +367,8 @@ TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
 
   const std::vector<std::string> names = {"w0", "w1", "w2"};
   for (size_t t = 0; t < names.size(); ++t) {
@@ -391,14 +394,19 @@ TEST(AsyncOptimTest, ExactUnderDramEvictionPressure) {
   }
   for (const std::string& name : names) {
     int64_t step_sync = 0, step_async = 0;
-    std::vector<float> p_s, m_s, v_s, p_a, m_a, v_a;
-    ASSERT_TRUE(sync_adam.ExportState(name, &step_sync, &p_s, &m_s, &v_s).ok());
+    Buffer p_s, m_s, v_s, p_a, m_a, v_a;
     ASSERT_TRUE(
-        async_adam.ExportState(name, &step_async, &p_a, &m_a, &v_a).ok());
+        sync_adam.ExportStateBuffers(name, &step_sync, &p_s, &m_s, &v_s).ok());
+    ASSERT_TRUE(
+        async_adam.ExportStateBuffers(name, &step_async, &p_a, &m_a, &v_a)
+            .ok());
     EXPECT_EQ(step_sync, step_async);
-    EXPECT_TRUE(BitwiseEqual(p_s, p_a)) << name;
-    EXPECT_TRUE(BitwiseEqual(m_s, m_a)) << name;
-    EXPECT_TRUE(BitwiseEqual(v_s, v_a)) << name;
+    EXPECT_TRUE(BitwiseEqual(VectorOf<float>(p_s), VectorOf<float>(p_a)))
+        << name;
+    EXPECT_TRUE(BitwiseEqual(VectorOf<float>(m_s), VectorOf<float>(m_a)))
+        << name;
+    EXPECT_TRUE(BitwiseEqual(VectorOf<float>(v_s), VectorOf<float>(v_a)))
+        << name;
   }
   EXPECT_GT(async_adam.stats().deferred_epochs, 0);
   EXPECT_EQ((*async_engine)->stats().Flow(FlowClass::kDeferredState).errors,
@@ -421,8 +429,8 @@ TEST(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
   opts.async = true;
   opts.hot_fraction = 0.25;
   opts.chunk = 64;
-  OutOfCoreAdam sync_adam(cfg, sync_engine->get());
-  OutOfCoreAdam async_adam(cfg, async_engine->get(), opts);
+  AsyncUpdateEngine sync_adam(cfg, sync_engine->get());
+  AsyncUpdateEngine async_adam(cfg, async_engine->get(), opts);
   const std::vector<float> init = RandomVec(kN, 61);
   ASSERT_TRUE(sync_adam.Register("w", init).ok());
   ASSERT_TRUE(async_adam.Register("w", init).ok());
@@ -447,7 +455,7 @@ TEST(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
   ASSERT_TRUE(engine.ok());
   AsyncUpdateOptions opts;
   opts.async = true;
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get(), opts);
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get(), opts);
   ASSERT_TRUE(ooc.Register("w", {1.0f}).ok());
   EXPECT_EQ(ooc.Register("w", {1.0f}).code(), StatusCode::kAlreadyExists);
   std::vector<Fp16> wrong(3);
@@ -472,7 +480,7 @@ TEST(AsyncOptimTest, FailedRegisterRollsBackSoTheNameStaysUsable) {
   ASSERT_TRUE(engine.ok());
   AsyncUpdateOptions opts;
   opts.async = true;
-  OutOfCoreAdam ooc(AdamConfig{}, engine->get(), opts);
+  AsyncUpdateEngine ooc(AdamConfig{}, engine->get(), opts);
   EXPECT_EQ(ooc.Register("w", {1.0f, 2.0f}).code(), StatusCode::kUnavailable);
   EXPECT_EQ(ooc.Register("w", {1.0f, 2.0f}).code(), StatusCode::kUnavailable);
   std::vector<Fp16> g(2);
@@ -507,12 +515,13 @@ std::vector<std::vector<float>> ExportAllState(RatelTrainer& trainer,
   std::vector<std::vector<float>> out;
   for (auto& [name, var] : model.parameters()) {
     int64_t step = 0;
-    std::vector<float> p32, m, v;
-    EXPECT_TRUE(trainer.optimizer().ExportState(name, &step, &p32, &m, &v).ok())
+    Buffer p32, m, v;
+    EXPECT_TRUE(
+        trainer.optimizer().ExportStateBuffers(name, &step, &p32, &m, &v).ok())
         << name;
-    out.push_back(std::move(p32));
-    out.push_back(std::move(m));
-    out.push_back(std::move(v));
+    out.push_back(VectorOf<float>(p32));
+    out.push_back(VectorOf<float>(m));
+    out.push_back(VectorOf<float>(v));
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "common/buffer.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -9,17 +8,10 @@
 #include <thread>
 #include <vector>
 
-#include "mem/memory_pool.h"
 #include "mem/tier_cache.h"
-#include "storage/block_store.h"
 
 namespace ratel {
 namespace {
-
-std::string TempDir(const std::string& tag) {
-  return ::testing::TempDir() + "/ratel_buffer_" + tag + "_" +
-         std::to_string(::getpid());
-}
 
 std::vector<uint8_t> Pattern(int64_t size, uint8_t seed) {
   std::vector<uint8_t> bytes(size);
@@ -181,50 +173,12 @@ TEST(BufferPoolTest, ConcurrentLeaseAndReleaseStress) {
   EXPECT_EQ(stats.returns, stats.leases());
 }
 
-// ---------- MemoryPool thread safety (internal mutex) ----------
-
-TEST(MemoryPoolTest, ConcurrentAllocateFreeFromFourThreads) {
-  MemoryPool pool("host", 1'000'000);
-  constexpr int kThreads = 4;
-  constexpr int kIters = 1000;
-  constexpr int64_t kBytes = 100;  // 4 * 1000 * 100 fits capacity
-  std::atomic<int64_t> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &failures] {
-      for (int i = 0; i < kIters; ++i) {
-        Result<AllocationId> id = pool.Allocate(kBytes, "stress");
-        if (!id.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        if (i % 2 == 0) {
-          if (!pool.Free(*id).ok()) failures.fetch_add(1);
-        }
-      }
-      pool.ResetPeak();
-      (void)pool.DebugString();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  // Every thread kept its odd-iteration allocations live.
-  const int64_t kept = kThreads * (kIters / 2);
-  EXPECT_EQ(pool.num_live_allocations(), kept);
-  EXPECT_EQ(pool.used(), kept * kBytes);
-  pool.FreeAll();
-  EXPECT_EQ(pool.used(), 0);
-}
-
 // ---------- TierCache with Buffer entries ----------
 
 TEST(TierCacheBufferTest, TryGetRefServesByReferenceWithoutCopy) {
-  auto store = BlockStore::Open(TempDir("refhit"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> blob = Pattern(512, 3);
-  ASSERT_TRUE(cache.Put("k", blob.data(), blob.size()).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(blob.data(), 512));
 
   Buffer ref1, ref2;
   ASSERT_TRUE(cache.TryGetRef("k", 512, &ref1));
@@ -239,21 +193,19 @@ TEST(TierCacheBufferTest, TryGetRefServesByReferenceWithoutCopy) {
 }
 
 TEST(TierCacheBufferTest, OutstandingRefSurvivesEvictionUnaliased) {
-  auto store = BlockStore::Open(TempDir("evict"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
   // Capacity fits exactly one 512-byte entry: every insert evicts.
-  TierCache cache(store->get(), 512);
+  TierCache cache(512);
   std::vector<uint8_t> old_bytes = Pattern(512, 11);
-  ASSERT_TRUE(cache.Put("k", old_bytes.data(), 512).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(old_bytes.data(), 512));
 
   Buffer held;
   ASSERT_TRUE(cache.TryGetRef("k", 512, &held));
 
   // Evict "k" by caching another key, then rewrite "k" with new bytes.
   std::vector<uint8_t> filler = Pattern(512, 200);
-  ASSERT_TRUE(cache.Put("other", filler.data(), 512).ok());
+  cache.AdmitBuffer("other", Buffer::CopyOf(filler.data(), 512));
   std::vector<uint8_t> new_bytes = Pattern(512, 77);
-  ASSERT_TRUE(cache.Put("k", new_bytes.data(), 512).ok());
+  cache.AdmitBuffer("k", Buffer::CopyOf(new_bytes.data(), 512));
 
   // The reader's ref still sees the *old* bytes — eviction and rewrite
   // released the cache's reference, not the reader's.
@@ -266,9 +218,7 @@ TEST(TierCacheBufferTest, OutstandingRefSurvivesEvictionUnaliased) {
 }
 
 TEST(TierCacheBufferTest, AdmitBufferTakesReferenceNotCopy) {
-  auto store = BlockStore::Open(TempDir("admit"), 2, 1 << 16);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   Buffer published = Buffer::CopyOf(Pattern(256, 9).data(), 256);
   cache.AdmitBuffer("k", published);
   Buffer ref;

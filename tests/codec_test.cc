@@ -28,6 +28,7 @@
 #include "model/transformer_config.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/test_buffers.h"
 #include "xfer/transfer_engine.h"
 
 namespace ratel {
@@ -438,13 +439,11 @@ TEST(CodecEngineTest, IdentityCodecRoundTripsWithFrameAccounting) {
     const std::vector<uint8_t> data = RandomBytes(kBytes, 500 + i);
     const std::string key = "ck/" + std::to_string(i);
     ASSERT_TRUE(
-        (*engine)->Write(FlowClass::kCheckpoint, key, data.data(), kBytes)
+        (*engine)->WriteBuffer(FlowClass::kCheckpoint, key, BufferOf(data))
             .ok());
-    std::vector<uint8_t> out(kBytes);
-    ASSERT_TRUE(
-        (*engine)->Read(FlowClass::kCheckpoint, key, out.data(), kBytes)
-            .ok());
-    EXPECT_EQ(out, data) << "blob " << i;
+    auto out = (*engine)->ReadBuffer(FlowClass::kCheckpoint, key, kBytes);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(VectorOf(*out), data) << "blob " << i;
   }
 
   const TransferStats stats = (*engine)->stats();
@@ -477,14 +476,12 @@ TEST(CodecEngineTest, Fp16FlowHalvesStoreBytes) {
   const int64_t kFloats = 4096;
   const int64_t kBytes = kFloats * 4;
   const std::vector<float> vals = RandomFloats(kFloats, 77);
-  ASSERT_TRUE((*engine)
-                  ->Write(FlowClass::kActivationSpill, "act", vals.data(),
-                          kBytes)
-                  .ok());
-  std::vector<float> out(kFloats);
   ASSERT_TRUE(
-      (*engine)->Read(FlowClass::kActivationSpill, "act", out.data(), kBytes)
+      (*engine)->WriteBuffer(FlowClass::kActivationSpill, "act", BufferOf(vals))
           .ok());
+  auto read = (*engine)->ReadBuffer(FlowClass::kActivationSpill, "act", kBytes);
+  ASSERT_TRUE(read.ok());
+  const std::vector<float> out = VectorOf<float>(*read);
   // The reader observes exactly the demoted values.
   for (int64_t i = 0; i < kFloats; ++i) {
     ASSERT_EQ(out[i], HalfToFloat(FloatToHalf(vals[i]))) << i;
@@ -514,20 +511,18 @@ TEST(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
   const int64_t kFloats = 512;
   const int64_t kBytes = kFloats * 4;
   const std::vector<float> vals = RandomFloats(kFloats, 91);
-  ASSERT_TRUE((*engine)
-                  ->Write(FlowClass::kActivationSpill, "act", vals.data(),
-                          kBytes)
-                  .ok());
+  ASSERT_TRUE(
+      (*engine)->WriteBuffer(FlowClass::kActivationSpill, "act", BufferOf(vals))
+          .ok());
 
-  std::vector<float> first(kFloats), second(kFloats);
-  ASSERT_TRUE((*engine)
-                  ->Read(FlowClass::kActivationSpill, "act", first.data(),
-                         kBytes)
-                  .ok());
-  ASSERT_TRUE((*engine)
-                  ->Read(FlowClass::kActivationSpill, "act", second.data(),
-                         kBytes)
-                  .ok());
+  auto first_read =
+      (*engine)->ReadBuffer(FlowClass::kActivationSpill, "act", kBytes);
+  ASSERT_TRUE(first_read.ok());
+  auto second_read =
+      (*engine)->ReadBuffer(FlowClass::kActivationSpill, "act", kBytes);
+  ASSERT_TRUE(second_read.ok());
+  const std::vector<float> first = VectorOf<float>(*first_read);
+  const std::vector<float> second = VectorOf<float>(*second_read);
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kActivationSpill);
   EXPECT_EQ(c.cache_misses, 1);  // write-side admit was skipped
@@ -546,13 +541,11 @@ TEST(CodecEngineTest, LossyCodecSkipsWriteSideCacheAdmit) {
   auto engine2 = TransferEngine::Open(opts2);
   ASSERT_TRUE(engine2.ok());
   ASSERT_TRUE(
-      (*engine2)->Write(FlowClass::kCheckpoint, "ck", blob.data(), kBytes)
+      (*engine2)->WriteBuffer(FlowClass::kCheckpoint, "ck", BufferOf(blob))
           .ok());
-  std::vector<uint8_t> out(kBytes);
-  ASSERT_TRUE(
-      (*engine2)->Read(FlowClass::kCheckpoint, "ck", out.data(), kBytes)
-          .ok());
-  EXPECT_EQ(out, blob);
+  auto out = (*engine2)->ReadBuffer(FlowClass::kCheckpoint, "ck", kBytes);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(VectorOf(*out), blob);
   const TransferStats stats2 = (*engine2)->stats();
   EXPECT_EQ(stats2.Flow(FlowClass::kCheckpoint).cache_hits, 1);
 }
@@ -572,12 +565,11 @@ TEST(CodecEngineTest, LossyOverwriteInvalidatesThePromotedCacheEntry) {
 
   const int64_t kFloats = 512;
   const int64_t kBytes = kFloats * 4;
-  std::vector<float> out(kFloats);
   for (int step = 0; step < 3; ++step) {
     const std::vector<float> vals = RandomFloats(kFloats, 700 + step);
     ASSERT_TRUE((*engine)
-                    ->Write(FlowClass::kActivationSpill, "act", vals.data(),
-                            kBytes)
+                    ->WriteBuffer(FlowClass::kActivationSpill, "act",
+                                  BufferOf(vals))
                     .ok());
     // Read twice: the first decodes this step's frame from the store
     // (the overwrite dropped the previous step's promoted entry), the
@@ -586,10 +578,10 @@ TEST(CodecEngineTest, LossyOverwriteInvalidatesThePromotedCacheEntry) {
     for (int pass = 0; pass < 2; ++pass) {
       SCOPED_TRACE("step " + std::to_string(step) + " pass " +
                    std::to_string(pass));
-      ASSERT_TRUE((*engine)
-                      ->Read(FlowClass::kActivationSpill, "act", out.data(),
-                             kBytes)
-                      .ok());
+      auto read =
+          (*engine)->ReadBuffer(FlowClass::kActivationSpill, "act", kBytes);
+      ASSERT_TRUE(read.ok());
+      const std::vector<float> out = VectorOf<float>(*read);
       for (int64_t i = 0; i < kFloats; ++i) {
         ASSERT_EQ(out[i], HalfToFloat(FloatToHalf(vals[i]))) << i;
       }
@@ -614,17 +606,17 @@ TEST(CodecEngineTest, PooledFrameBuffersReachZeroSteadyStateAllocs) {
 
   const int64_t kBytes = 16 * 1024;
   std::vector<uint8_t> data = RandomBytes(kBytes, 11);
-  std::vector<uint8_t> out(kBytes);
   auto round = [&](int i) {
     const std::string key = "act/" + std::to_string(i % 2);
+    // Payloads are staged in pooled buffers too, as the trainer does.
+    Buffer payload = (*engine)->buffer_pool().Lease(kBytes);
+    std::memcpy(payload.mutable_data(), data.data(), kBytes);
     ASSERT_TRUE((*engine)
-                    ->Write(FlowClass::kActivationSpill, key, data.data(),
-                            kBytes)
+                    ->WriteBuffer(FlowClass::kActivationSpill, key,
+                                  std::move(payload))
                     .ok());
-    ASSERT_TRUE((*engine)
-                    ->Read(FlowClass::kActivationSpill, key, out.data(),
-                           kBytes)
-                    .ok());
+    ASSERT_TRUE(
+        (*engine)->ReadBuffer(FlowClass::kActivationSpill, key, kBytes).ok());
   };
   for (int i = 0; i < 4; ++i) round(i);  // warmup: classes populate
   ASSERT_TRUE((*engine)->Drain().ok());
@@ -645,13 +637,12 @@ TEST(CodecEngineTest, BufferReadOverloadDecodesThroughTheCodecPath) {
   const int64_t kBytes = 2048;
   const std::vector<uint8_t> data = RandomBytes(kBytes, 13);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kGradState, "g", data.data(), kBytes).ok());
+      (*engine)->WriteBuffer(FlowClass::kGradState, "g", BufferOf(data)).ok());
   auto buf = (*engine)->ReadBuffer(FlowClass::kGradState, "g", kBytes);
   ASSERT_TRUE(buf.ok());
   ASSERT_EQ(buf->size(), kBytes);
   EXPECT_EQ(0, std::memcmp(buf->data(), data.data(), kBytes));
-  // Zero-copy delivery: the Buffer overload hands the decoded buffer
-  // out by reference, so no payload memcpy is charged to the flow.
+  // Zero-copy delivery: the decoded buffer is handed out by reference.
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kGradState);
   EXPECT_EQ(c.decodes, 1);

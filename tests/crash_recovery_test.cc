@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ratel_trainer.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -206,12 +207,13 @@ std::vector<std::vector<float>> ExportAllP32(RatelTrainer& trainer,
   std::vector<std::vector<float>> out;
   for (auto& [name, var] : model.parameters()) {
     int64_t step = 0;
-    std::vector<float> p32, m, v;
-    EXPECT_TRUE(trainer.optimizer().ExportState(name, &step, &p32, &m, &v).ok())
+    Buffer p32, m, v;
+    EXPECT_TRUE(
+        trainer.optimizer().ExportStateBuffers(name, &step, &p32, &m, &v).ok())
         << name;
-    out.push_back(std::move(p32));
-    out.push_back(std::move(m));
-    out.push_back(std::move(v));
+    out.push_back(VectorOf<float>(p32));
+    out.push_back(VectorOf<float>(m));
+    out.push_back(VectorOf<float>(v));
   }
   return out;
 }

@@ -17,6 +17,8 @@
 #include "runtime/checkpoint.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "storage/block_store.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -85,7 +87,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   xfer.chunk_bytes = 4096;
   auto engine = TransferEngine::Open(xfer);
   ASSERT_TRUE(engine.ok());
-  OutOfCoreAdam adam(AdamConfig{}, engine->get());
+  AsyncUpdateEngine adam(AdamConfig{}, engine->get());
   Rng rng(1);
   std::vector<float> w1(100), w2(37);
   for (auto& x : w1) x = static_cast<float>(rng.NextGaussian());
@@ -124,73 +126,75 @@ TEST(CheckpointTest, RejectsGarbageAndMissing) {
 // ---------- TierCache ----------
 
 TEST(TierCacheTest, HitAfterPut) {
-  auto store = BlockStore::Open(TempPath("tc1"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> data(1000, 7);
-  ASSERT_TRUE(cache.Put("k", data.data(), data.size()).ok());
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("k", out.data(), out.size()).ok());
-  EXPECT_EQ(out, data);
+  cache.AdmitBuffer("k", BufferOf(data));
+  Buffer out;
+  ASSERT_TRUE(cache.TryGetRef("k", 1000, &out));
+  EXPECT_EQ(VectorOf(out), data);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 0);
 }
 
 TEST(TierCacheTest, MissFallsThroughAndPromotes) {
+  // The caller owns the store leg (as the transfer engine does): a
+  // probe miss falls through to the store, and the caller promotes the
+  // blob it read.
   auto store = BlockStore::Open(TempPath("tc2"), 2, 4096);
   ASSERT_TRUE(store.ok());
   std::vector<uint8_t> data(512, 9);
   ASSERT_TRUE((*store)->Put("cold", data.data(), data.size()).ok());
-  TierCache cache(store->get(), 1 << 20);
-  std::vector<uint8_t> out(512);
-  ASSERT_TRUE(cache.Get("cold", out.data(), out.size()).ok());
+  TierCache cache(1 << 20);
+  Buffer out;
+  ASSERT_FALSE(cache.TryGetRef("cold", 512, &out));
   EXPECT_EQ(cache.stats().misses, 1);
-  ASSERT_TRUE(cache.Get("cold", out.data(), out.size()).ok());
+  Buffer read = Buffer::Allocate(512);
+  ASSERT_TRUE((*store)->Get("cold", read.mutable_data(), 512).ok());
+  cache.AdmitBuffer("cold", read);
+  ASSERT_TRUE(cache.TryGetRef("cold", 512, &out));
   EXPECT_EQ(cache.stats().hits, 1);  // promoted on first miss
+  EXPECT_EQ(VectorOf(out), data);
 }
 
 TEST(TierCacheTest, LruEvictionUnderPressure) {
-  auto store = BlockStore::Open(TempPath("tc3"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 2500);  // fits two 1000-byte blobs
+  TierCache cache(2500);  // fits two 1000-byte blobs
   std::vector<uint8_t> data(1000, 1);
-  ASSERT_TRUE(cache.Put("a", data.data(), data.size()).ok());
-  ASSERT_TRUE(cache.Put("b", data.data(), data.size()).ok());
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("a", out.data(), out.size()).ok());  // a is hot
-  ASSERT_TRUE(cache.Put("c", data.data(), data.size()).ok());  // evicts b
+  cache.AdmitBuffer("a", BufferOf(data));
+  cache.AdmitBuffer("b", BufferOf(data));
+  Buffer out;
+  ASSERT_TRUE(cache.TryGetRef("a", 1000, &out));  // a is hot
+  cache.AdmitBuffer("c", BufferOf(data));             // evicts b
   EXPECT_GE(cache.stats().evictions, 1);
   const int64_t hits_before = cache.stats().hits;
-  ASSERT_TRUE(cache.Get("a", out.data(), out.size()).ok());
+  ASSERT_TRUE(cache.TryGetRef("a", 1000, &out));
   EXPECT_EQ(cache.stats().hits, hits_before + 1);  // a survived
-  ASSERT_TRUE(cache.Get("b", out.data(), out.size()).ok());
-  EXPECT_EQ(cache.stats().misses, 1);  // b was evicted -> store read
+  EXPECT_FALSE(cache.TryGetRef("b", 1000, &out));
+  EXPECT_EQ(cache.stats().misses, 1);  // b was evicted
   EXPECT_LE(cache.stats().bytes_cached, 2500);
 }
 
 TEST(TierCacheTest, OversizedBlobBypassesCache) {
-  auto store = BlockStore::Open(TempPath("tc4"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 100);
+  TierCache cache(100);
   std::vector<uint8_t> data(1000, 2);
-  ASSERT_TRUE(cache.Put("big", data.data(), data.size()).ok());
+  cache.AdmitBuffer("big", BufferOf(data));
   EXPECT_EQ(cache.stats().bytes_cached, 0);
-  std::vector<uint8_t> out(1000);
-  ASSERT_TRUE(cache.Get("big", out.data(), out.size()).ok());  // via store
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("big", 1000, &out));  // never resident
 }
 
 TEST(TierCacheTest, InvalidateDropsDramCopyOnly) {
-  auto store = BlockStore::Open(TempPath("tc5"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> data(64, 3);
-  ASSERT_TRUE(cache.Put("k", data.data(), data.size()).ok());
+  cache.AdmitBuffer("k", BufferOf(data));
+  Buffer held;
+  ASSERT_TRUE(cache.TryGetRef("k", 64, &held));
   cache.Invalidate("k");
   EXPECT_EQ(cache.stats().bytes_cached, 0);
-  std::vector<uint8_t> out(64);
-  ASSERT_TRUE(cache.Get("k", out.data(), out.size()).ok());  // store copy
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("k", 64, &out));
+  // Only the cache's reference was dropped: a reader's ref still holds
+  // the bytes.
+  EXPECT_EQ(VectorOf(held), data);
 }
 
 // ---------- Recompute knapsack ----------

@@ -21,9 +21,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "runtime/async_update_engine.h"
 #include "runtime/job_manager.h"
-#include "runtime/out_of_core_adam.h"
 #include "storage/fault_injector.h"
+#include "tests/test_buffers.h"
 #include "xfer/transfer_engine.h"
 
 namespace ratel {
@@ -119,11 +120,10 @@ TEST(FaultMatrixTest, EveryFaultKindRecoversOnEveryFlowClass) {
       for (int i = 0; i < kNumBlobs; ++i) {
         const std::vector<uint8_t> data = BlobData(i);
         const std::string key = "t/" + std::to_string(i);
-        ASSERT_TRUE(
-            (*engine)->Write(flow, key, data.data(), kBlobBytes).ok());
-        std::vector<uint8_t> out(kBlobBytes);
-        ASSERT_TRUE((*engine)->Read(flow, key, out.data(), kBlobBytes).ok());
-        EXPECT_EQ(out, data) << "blob " << i << " corrupted";
+        ASSERT_TRUE((*engine)->WriteBuffer(flow, key, BufferOf(data)).ok());
+        auto out = (*engine)->ReadBuffer(flow, key, kBlobBytes);
+        ASSERT_TRUE(out.ok());
+        EXPECT_EQ(VectorOf(*out), data) << "blob " << i << " corrupted";
       }
 
       const TransferStats stats = (*engine)->stats();
@@ -177,28 +177,25 @@ TEST(FaultMatrixTest, FlowMaskScopesFaultsToTheMaskedClass) {
   for (int i = 0; i < kNumBlobs; ++i) {
     const std::vector<uint8_t> data = BlobData(i);
     const std::string key = "t/" + std::to_string(i);
-    ASSERT_TRUE((*engine)
-                    ->Write(FlowClass::kGradState, key, data.data(), kBlobBytes)
-                    .ok());
+    ASSERT_TRUE(
+        (*engine)->WriteBuffer(FlowClass::kGradState, key, BufferOf(data))
+            .ok());
   }
   // Same keys, two flows: grad_state reads pass untouched (masked out),
   // param_fetch reads hit the schedule and recover via retries.
-  std::vector<uint8_t> out(kBlobBytes);
   for (int i = 0; i < kNumBlobs; ++i) {
     const std::string key = "t/" + std::to_string(i);
     ASSERT_TRUE(
-        (*engine)->Read(FlowClass::kGradState, key, out.data(), kBlobBytes)
-            .ok());
+        (*engine)->ReadBuffer(FlowClass::kGradState, key, kBlobBytes).ok());
   }
   EXPECT_EQ((*engine)->fault_injector()->counts().read_errors, 0);
   EXPECT_EQ((*engine)->stats().Flow(FlowClass::kGradState).retries, 0);
 
   for (int i = 0; i < kNumBlobs; ++i) {
     const std::string key = "t/" + std::to_string(i);
-    ASSERT_TRUE(
-        (*engine)->Read(FlowClass::kParamFetch, key, out.data(), kBlobBytes)
-            .ok());
-    EXPECT_EQ(out, BlobData(i));
+    auto out = (*engine)->ReadBuffer(FlowClass::kParamFetch, key, kBlobBytes);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(VectorOf(*out), BlobData(i));
   }
   EXPECT_GT((*engine)->fault_injector()->counts().read_errors, 0);
   EXPECT_GT((*engine)->stats().Flow(FlowClass::kParamFetch).retries, 0);
@@ -217,7 +214,7 @@ TEST(FaultMatrixTest, DeadStripeRelocatesExistingBlobsWithoutDataLoss) {
 
   const std::vector<uint8_t> v1 = BlobData(0);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kParamFetch, "blob", v1.data(), kBlobBytes)
+      (*engine)->WriteBuffer(FlowClass::kParamFetch, "blob", BufferOf(v1))
           .ok());
   ASSERT_EQ((*engine)->store().num_dead_stripes(), 0);
 
@@ -227,17 +224,15 @@ TEST(FaultMatrixTest, DeadStripeRelocatesExistingBlobsWithoutDataLoss) {
   // survivors, and completes the write in the same Put.
   const std::vector<uint8_t> v2 = BlobData(1);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kCheckpoint, "blob", v2.data(), kBlobBytes)
+      (*engine)->WriteBuffer(FlowClass::kCheckpoint, "blob", BufferOf(v2))
           .ok());
   EXPECT_EQ((*engine)->store().num_dead_stripes(), 1);
   EXPECT_TRUE((*engine)->store().stripe_dead(0));
   EXPECT_GE((*engine)->store().relocations(), 1);
 
-  std::vector<uint8_t> out(kBlobBytes);
-  ASSERT_TRUE(
-      (*engine)->Read(FlowClass::kCheckpoint, "blob", out.data(), kBlobBytes)
-          .ok());
-  EXPECT_EQ(out, v2);
+  auto out = (*engine)->ReadBuffer(FlowClass::kCheckpoint, "blob", kBlobBytes);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(VectorOf(*out), v2);
   EXPECT_EQ((*engine)->stats().Flow(FlowClass::kCheckpoint).giveups, 0);
 }
 
@@ -250,8 +245,7 @@ TEST(FaultMatrixTest, UnrecoverableFaultGivesUpAndCountsIt) {
 
   const std::vector<uint8_t> data = BlobData(0);
   const Status s =
-      (*engine)->Write(FlowClass::kGradState, "doomed", data.data(),
-                       kBlobBytes);
+      (*engine)->WriteBuffer(FlowClass::kGradState, "doomed", BufferOf(data));
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kGradState);
@@ -270,16 +264,13 @@ TEST(FaultMatrixTest, ZeroFaultConfigRunsCleanWithoutAnInjector) {
   for (int i = 0; i < kNumBlobs; ++i) {
     const std::vector<uint8_t> data = BlobData(i);
     const std::string key = "t/" + std::to_string(i);
-    ASSERT_TRUE((*engine)
-                    ->Write(FlowClass::kActivationSpill, key, data.data(),
-                            kBlobBytes)
-                    .ok());
-    std::vector<uint8_t> out(kBlobBytes);
     ASSERT_TRUE(
-        (*engine)->Read(FlowClass::kActivationSpill, key, out.data(),
-                        kBlobBytes)
+        (*engine)->WriteBuffer(FlowClass::kActivationSpill, key, BufferOf(data))
             .ok());
-    EXPECT_EQ(out, data);
+    auto out = (*engine)->ReadBuffer(FlowClass::kActivationSpill, key,
+                                     kBlobBytes);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(VectorOf(*out), data);
   }
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kActivationSpill);
@@ -356,7 +347,7 @@ std::vector<float> CleanSyncReference(const std::string& tag) {
   TransferOptions opts = FastRetryOptions(TempDir(tag));
   auto engine = TransferEngine::Open(opts);
   EXPECT_TRUE(engine.ok());
-  OutOfCoreAdam adam(AdamConfig{}, engine->get());
+  AsyncUpdateEngine adam(AdamConfig{}, engine->get());
   EXPECT_TRUE(adam.Register("w", InitParams()).ok());
   for (int step = 1; step <= kOptimSteps; ++step) {
     EXPECT_TRUE(adam.StepTensor("w", StepGrads(step)).ok());
@@ -380,7 +371,7 @@ TEST(FaultMatrixTest, DeferredStateWriteErrorsRetryWithoutForegroundRetries) {
   async.hot_fraction = 0.25;
   async.chunk = 64;
   {
-    OutOfCoreAdam adam(AdamConfig{}, engine->get(), async);
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get(), async);
     ASSERT_TRUE(adam.Register("w", InitParams()).ok());
     for (int step = 1; step <= kOptimSteps; ++step) {
       // Every foreground step must complete despite the faulted epochs.
@@ -428,7 +419,7 @@ TEST(FaultMatrixTest, DeadStripeOnDeferredStateRestripesInTheBackground) {
   async.hot_fraction = 0.25;
   async.chunk = 64;
   {
-    OutOfCoreAdam adam(AdamConfig{}, engine->get(), async);
+    AsyncUpdateEngine adam(AdamConfig{}, engine->get(), async);
     ASSERT_TRUE(adam.Register("w", InitParams()).ok());
     for (int step = 1; step <= kOptimSteps; ++step) {
       ASSERT_TRUE(adam.StepTensor("w", StepGrads(step)).ok()) << step;
@@ -481,15 +472,12 @@ TEST(FaultMatrixTest, CodecFramedFlowRecoversFromEveryFaultKind) {
     for (int i = 0; i < kNumBlobs; ++i) {
       const std::vector<uint8_t> data = BlobData(i);
       const std::string key = "c/" + std::to_string(i);
-      ASSERT_TRUE((*engine)
-                      ->Write(FlowClass::kCheckpoint, key, data.data(),
-                              kBlobBytes)
-                      .ok());
-      std::vector<uint8_t> out(kBlobBytes);
       ASSERT_TRUE(
-          (*engine)->Read(FlowClass::kCheckpoint, key, out.data(), kBlobBytes)
+          (*engine)->WriteBuffer(FlowClass::kCheckpoint, key, BufferOf(data))
               .ok());
-      EXPECT_EQ(out, data) << "blob " << i << " corrupted";
+      auto out = (*engine)->ReadBuffer(FlowClass::kCheckpoint, key, kBlobBytes);
+      ASSERT_TRUE(out.ok());
+      EXPECT_EQ(VectorOf(*out), data) << "blob " << i << " corrupted";
     }
 
     const TransferStats stats = (*engine)->stats();
@@ -524,10 +512,8 @@ void PlantCorruptFrame(TransferEngine* engine, const std::string& key,
   EncodeFrame(*codec, logical.data(), static_cast<int64_t>(logical.size()),
               frame.data());
   frame[flip_offset] ^= 0x10;  // bit rot
-  ASSERT_TRUE(engine
-                  ->Write(FlowClass::kParamFetch, key, frame.data(),
-                          static_cast<int64_t>(frame.size()))
-                  .ok());
+  ASSERT_TRUE(
+      engine->WriteBuffer(FlowClass::kParamFetch, key, BufferOf(frame)).ok());
 }
 
 TEST(FaultMatrixTest, BitRotInAFrameIsDetectedRetriedAndSurfaced) {
@@ -543,9 +529,8 @@ TEST(FaultMatrixTest, BitRotInAFrameIsDetectedRetriedAndSurfaced) {
   PlantCorruptFrame(engine->get(), "rot/header", data, /*flip_offset=*/9);
 
   for (const std::string key : {"rot/payload", "rot/header"}) {
-    std::vector<uint8_t> out(kBlobBytes, 0xEE);
     const Status s =
-        (*engine)->Read(FlowClass::kCheckpoint, key, out.data(), kBlobBytes);
+        (*engine)->ReadBuffer(FlowClass::kCheckpoint, key, kBlobBytes).status();
     // Never silent garbage: the read *fails*, with the data-loss code.
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << key;
   }
@@ -578,16 +563,15 @@ TEST(FaultMatrixTest, TornFrameTailIsDetectedByThePayloadCrc) {
   for (size_t i = frame.size() / 2; i < frame.size(); ++i) {
     frame[i] = 0xA5;  // stale tail
   }
-  ASSERT_TRUE((*engine)
-                  ->Write(FlowClass::kParamFetch, "torn", frame.data(),
-                          static_cast<int64_t>(frame.size()))
-                  .ok());
+  ASSERT_TRUE(
+      (*engine)->WriteBuffer(FlowClass::kParamFetch, "torn", BufferOf(frame))
+          .ok());
 
-  std::vector<uint8_t> out(kBlobBytes);
-  EXPECT_EQ(
-      (*engine)->Read(FlowClass::kGradState, "torn", out.data(), kBlobBytes)
-          .code(),
-      StatusCode::kDataLoss);
+  EXPECT_EQ((*engine)
+                ->ReadBuffer(FlowClass::kGradState, "torn", kBlobBytes)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kGradState);
   EXPECT_EQ(c.decode_failures, opts.retry.max_attempts);
@@ -611,15 +595,13 @@ TEST(FaultMatrixTest, TransientReadFaultsOnFramesDecodeAfterRetry) {
   for (auto& v : vals) v = static_cast<float>(rng.NextGaussian());
   for (int i = 0; i < kNumBlobs; ++i) {
     const std::string key = "a/" + std::to_string(i);
-    ASSERT_TRUE((*engine)
-                    ->Write(FlowClass::kActivationSpill, key, vals.data(),
-                            kBlobBytes)
-                    .ok());
-    std::vector<float> out(vals.size());
-    ASSERT_TRUE((*engine)
-                    ->Read(FlowClass::kActivationSpill, key, out.data(),
-                           kBlobBytes)
-                    .ok());
+    ASSERT_TRUE(
+        (*engine)->WriteBuffer(FlowClass::kActivationSpill, key, BufferOf(vals))
+            .ok());
+    auto read = (*engine)->ReadBuffer(FlowClass::kActivationSpill, key,
+                                      kBlobBytes);
+    ASSERT_TRUE(read.ok());
+    const std::vector<float> out = VectorOf<float>(*read);
     for (size_t j = 0; j < vals.size(); ++j) {
       ASSERT_EQ(out[j], HalfToFloat(FloatToHalf(vals[j]))) << j;
     }

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "storage/fault_injector.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -28,14 +29,14 @@ TEST(IoSchedulerTest, WriteThenReadRoundTrip) {
   Rng rng(1);
   std::vector<uint8_t> data(5000);
   for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
-  const auto wt = sched.SubmitWrite("blob", data.data(), data.size(),
+  const auto wt = sched.SubmitWrite("blob", BufferOf(data),
                                     IoScheduler::Priority::kBackground);
   ASSERT_TRUE(sched.Wait(wt).ok());
-  std::vector<uint8_t> out;
-  const auto rt = sched.SubmitRead(
-      "blob", &out, data.size(), IoScheduler::Priority::kLatencyCritical);
+  Buffer out = Buffer::Allocate(static_cast<int64_t>(data.size()));
+  const auto rt =
+      sched.SubmitRead("blob", out, IoScheduler::Priority::kLatencyCritical);
   ASSERT_TRUE(sched.Wait(rt).ok());
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(VectorOf(out), data);
 }
 
 TEST(IoSchedulerTest, DrainWaitsForEverything) {
@@ -44,7 +45,7 @@ TEST(IoSchedulerTest, DrainWaitsForEverything) {
   IoScheduler sched(store->get(), 3);
   std::vector<uint8_t> data(256, 0xAB);
   for (int i = 0; i < 40; ++i) {
-    sched.SubmitWrite("k" + std::to_string(i), data.data(), data.size(),
+    sched.SubmitWrite("k" + std::to_string(i), BufferOf(data),
                       i % 2 ? IoScheduler::Priority::kBackground
                             : IoScheduler::Priority::kLatencyCritical);
   }
@@ -71,13 +72,12 @@ class StarvationHarness {
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), workers, tuning);
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", byte_.data(), 1,
-                        IoScheduler::Priority::kLatencyCritical);
+    sched_->SubmitWrite("gate", byte_, IoScheduler::Priority::kLatencyCritical);
     injector_.WaitForStalled(1);  // the worker is now held busy
   }
 
   void SubmitTagged(const std::string& key, IoScheduler::Priority priority) {
-    sched_->SubmitWrite(key, byte_.data(), 1, priority,
+    sched_->SubmitWrite(key, byte_, priority,
                         [this, key](const IoResult&) {
                           std::lock_guard<std::mutex> lock(mu_);
                           order_.push_back(key);
@@ -97,7 +97,7 @@ class StarvationHarness {
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
-  std::vector<uint8_t> byte_ = {0x01};
+  const Buffer byte_ = Buffer::CopyOf("\x01", 1);
   std::mutex mu_;
   std::vector<std::string> order_;
 };
@@ -151,9 +151,8 @@ TEST(IoSchedulerTest, ErrorsSurfaceThroughWaitAndDrain) {
   auto store = BlockStore::Open(TempDir("err"), 2, 4096);
   ASSERT_TRUE(store.ok());
   IoScheduler sched(store->get(), 2);
-  std::vector<uint8_t> out;
-  const auto bad = sched.SubmitRead(
-      "missing", &out, 64, IoScheduler::Priority::kLatencyCritical);
+  const auto bad = sched.SubmitRead("missing", Buffer::Allocate(64),
+                                    IoScheduler::Priority::kLatencyCritical);
   EXPECT_EQ(sched.Wait(bad).code(), StatusCode::kNotFound);
   EXPECT_EQ(sched.Drain().code(), StatusCode::kNotFound);  // first error
 }
@@ -165,7 +164,7 @@ TEST(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
   std::vector<uint8_t> data(128, 0x5A);
   std::atomic<bool> write_cb{false};
   const auto wt = sched.SubmitWrite(
-      "k", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "k", BufferOf(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) {
         EXPECT_TRUE(r.status.ok());
         EXPECT_EQ(r.attempts, 1);
@@ -176,10 +175,9 @@ TEST(IoSchedulerTest, CompletionCallbackRunsBeforeTicketResolves) {
   EXPECT_TRUE(write_cb.load());  // callback effects visible by Wait-return
   // Errors reach the callback too. kNotFound is not transient, so no
   // retries are burned on it.
-  std::vector<uint8_t> out;
   std::atomic<bool> saw_not_found{false};
   const auto bad = sched.SubmitRead(
-      "missing", &out, 64, IoScheduler::Priority::kLatencyCritical,
+      "missing", Buffer::Allocate(64), IoScheduler::Priority::kLatencyCritical,
       [&](const IoResult& r) {
         saw_not_found.store(r.status.code() == StatusCode::kNotFound &&
                             r.attempts == 1 && !r.gave_up);
@@ -263,23 +261,21 @@ TEST(IoSchedulerTest, ConcurrentMixedLoad) {
     blobs[i].resize(200 + rng.NextBelow(800));
     for (auto& b : blobs[i]) b = static_cast<uint8_t>(rng.NextU64());
     writes.push_back(sched.SubmitWrite(
-        "m" + std::to_string(i), blobs[i].data(),
-        static_cast<int64_t>(blobs[i].size()),
+        "m" + std::to_string(i), BufferOf(blobs[i]),
         i % 3 ? IoScheduler::Priority::kBackground
               : IoScheduler::Priority::kLatencyCritical));
   }
   for (auto t : writes) ASSERT_TRUE(sched.Wait(t).ok());
-  std::vector<std::vector<uint8_t>> outs(32);
+  std::vector<Buffer> outs(32);
   std::vector<IoScheduler::Ticket> reads;
   for (int i = 0; i < 32; ++i) {
-    reads.push_back(sched.SubmitRead(
-        "m" + std::to_string(i), &outs[i],
-        static_cast<int64_t>(blobs[i].size()),
-        IoScheduler::Priority::kLatencyCritical));
+    outs[i] = Buffer::Allocate(static_cast<int64_t>(blobs[i].size()));
+    reads.push_back(sched.SubmitRead("m" + std::to_string(i), outs[i],
+                                     IoScheduler::Priority::kLatencyCritical));
   }
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(sched.Wait(reads[i]).ok());
-    EXPECT_EQ(outs[i], blobs[i]) << i;
+    EXPECT_EQ(VectorOf(outs[i]), blobs[i]) << i;
   }
 }
 
@@ -296,16 +292,16 @@ TEST(IoSchedulerTest, TransientReadErrorsRetriedToSuccess) {
   IoScheduler sched(store->get(), 2, tuning);
   std::vector<uint8_t> data(512, 0x3C);
   for (int i = 0; i < 8; ++i) {
-    sched.SubmitWrite("r" + std::to_string(i), data.data(), data.size(),
+    sched.SubmitWrite("r" + std::to_string(i), BufferOf(data),
                       IoScheduler::Priority::kBackground);
   }
   ASSERT_TRUE(sched.Drain().ok());
-  std::vector<std::vector<uint8_t>> outs(8);
   for (int i = 0; i < 8; ++i) {
-    const auto t = sched.SubmitRead("r" + std::to_string(i), &outs[i], 512,
+    Buffer out = Buffer::Allocate(512);
+    const auto t = sched.SubmitRead("r" + std::to_string(i), out,
                                     IoScheduler::Priority::kLatencyCritical);
     ASSERT_TRUE(sched.Wait(t).ok()) << i;
-    EXPECT_EQ(outs[i], data) << i;
+    EXPECT_EQ(VectorOf(out), data) << i;
   }
   // With period 2, each key loses exactly one of its first two attempts.
   EXPECT_GT(sched.total_retries(), 0);
@@ -329,7 +325,7 @@ TEST(IoSchedulerTest, PermanentFailureGivesUpAfterMaxAttempts) {
   std::atomic<int> attempts{0};
   std::atomic<bool> gave_up{false};
   const auto t = sched.SubmitWrite(
-      "doomed", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "doomed", BufferOf(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) {
         attempts.store(r.attempts);
         gave_up.store(r.gave_up);
@@ -364,7 +360,7 @@ TEST(IoSchedulerTest, BackoffDeadlineCapsRetrySleep) {
   std::vector<uint8_t> data(64, 0x11);
   std::atomic<bool> gave_up{false};
   const auto t = sched.SubmitWrite(
-      "doomed", data.data(), data.size(), IoScheduler::Priority::kBackground,
+      "doomed", BufferOf(data), IoScheduler::Priority::kBackground,
       [&](const IoResult& r) { gave_up.store(r.gave_up); });
   EXPECT_EQ(sched.Wait(t).code(), StatusCode::kUnavailable);
   EXPECT_TRUE(gave_up.load());
@@ -380,7 +376,7 @@ TEST(IoSchedulerTest, WaitOnUnknownOrConsumedTicketIsChecked) {
   IoScheduler sched(store->get(), 2);
   EXPECT_EQ(sched.Wait(987654).code(), StatusCode::kInvalidArgument);
   std::vector<uint8_t> data(64, 0x42);
-  const auto t = sched.SubmitWrite("k", data.data(), data.size(),
+  const auto t = sched.SubmitWrite("k", BufferOf(data),
                                    IoScheduler::Priority::kBackground);
   ASSERT_TRUE(sched.Wait(t).ok());
   // A ticket is single-use: the second Wait is a caller bug, reported

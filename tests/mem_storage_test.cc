@@ -9,10 +9,10 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "mem/memory_pool.h"
 #include "mem/tier_cache.h"
 #include "storage/block_store.h"
 #include "storage/throttled_channel.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -20,69 +20,6 @@ namespace {
 std::string TempDir(const std::string& tag) {
   return ::testing::TempDir() + "/ratel_store_" + tag + "_" +
          std::to_string(::getpid());
-}
-
-// ---------- MemoryPool ----------
-
-TEST(MemoryPoolTest, AllocateAndFree) {
-  MemoryPool pool("gpu", 100);
-  auto a = pool.Allocate(60, "weights");
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(pool.used(), 60);
-  EXPECT_EQ(pool.available(), 40);
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.used(), 0);
-}
-
-TEST(MemoryPoolTest, OomWhenOverCapacity) {
-  MemoryPool pool("gpu", 100);
-  ASSERT_TRUE(pool.Allocate(80, "a").ok());
-  auto b = pool.Allocate(30, "b");
-  EXPECT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kOutOfMemory);
-  EXPECT_EQ(pool.used(), 80);  // failed allocation does not leak budget
-}
-
-TEST(MemoryPoolTest, PeakTracksHighWatermark) {
-  MemoryPool pool("host", 1000);
-  auto a = pool.Allocate(400, "a");
-  auto b = pool.Allocate(500, "b");
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.used(), 500);
-  EXPECT_EQ(pool.peak_used(), 900);
-  pool.ResetPeak();
-  EXPECT_EQ(pool.peak_used(), 500);
-}
-
-TEST(MemoryPoolTest, DoubleFreeIsNotFound) {
-  MemoryPool pool("p", 10);
-  auto a = pool.Allocate(5, "x");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(pool.Free(*a).ok());
-  EXPECT_EQ(pool.Free(*a).code(), StatusCode::kNotFound);
-}
-
-TEST(MemoryPoolTest, FreeAllResets) {
-  MemoryPool pool("p", 100);
-  ASSERT_TRUE(pool.Allocate(10, "a").ok());
-  ASSERT_TRUE(pool.Allocate(20, "b").ok());
-  pool.FreeAll();
-  EXPECT_EQ(pool.used(), 0);
-  EXPECT_EQ(pool.num_live_allocations(), 0);
-  EXPECT_TRUE(pool.Allocate(100, "c").ok());
-}
-
-TEST(MemoryPoolTest, NegativeAllocationRejected) {
-  MemoryPool pool("p", 100);
-  EXPECT_EQ(pool.Allocate(-1, "bad").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MemoryPoolTest, ZeroCapacityPoolRejectsEverythingButZero) {
-  MemoryPool pool("empty", 0);
-  EXPECT_TRUE(pool.Allocate(0, "nothing").ok());
-  EXPECT_FALSE(pool.Allocate(1, "something").ok());
 }
 
 // ---------- BlockStore ----------
@@ -257,24 +194,35 @@ TEST(BlockStoreTest, ByteCountersTrackSuccessfulOps) {
 TEST(TierCacheTest, CountersReconcileWithStoreTraffic) {
   auto store = BlockStore::Open(TempDir("tc_recon"), 2, 64);
   ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> data(400, 0x11);
-  std::vector<uint8_t> out(400);
   int64_t issued_read_bytes = 0;
-  ASSERT_TRUE(cache.Put("a", data.data(), 400).ok());
-  ASSERT_TRUE(cache.Put("b", data.data(), 400).ok());
-  ASSERT_TRUE(cache.Get("a", out.data(), 400).ok());  // hit
-  issued_read_bytes += 400;
+  // The caller owns the store leg, as the transfer engine does: a write
+  // goes to the store and is admitted by reference; a probe miss reads
+  // the store and promotes the blob.
+  auto put = [&](const std::string& key) {
+    ASSERT_TRUE((*store)->Put(key, data.data(), 400).ok());
+    cache.AdmitBuffer(key, BufferOf(data));
+  };
+  auto get = [&](const std::string& key) {
+    issued_read_bytes += 400;
+    Buffer ref;
+    if (cache.TryGetRef(key, 400, &ref)) return;
+    Buffer dst = Buffer::Allocate(400);
+    ASSERT_TRUE((*store)->Get(key, dst.mutable_data(), 400).ok());
+    cache.AdmitBuffer(key, dst);
+  };
+  put("a");
+  put("b");
+  get("a");  // hit
   cache.Invalidate("b");
-  ASSERT_TRUE(cache.Get("b", out.data(), 400).ok());  // miss -> store
-  issued_read_bytes += 400;
-  ASSERT_TRUE(cache.Get("b", out.data(), 400).ok());  // promoted: hit
-  issued_read_bytes += 400;
+  get("b");  // miss -> store
+  get("b");  // promoted: hit
   const TierCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
   // Reconciliation invariants: hit + miss bytes cover every issued
-  // read; when all reads go through the cache, the store served
+  // read; when all reads probe the cache first, the store served
   // exactly the miss bytes.
   EXPECT_EQ(stats.hit_bytes + stats.miss_bytes, issued_read_bytes);
   EXPECT_EQ(stats.miss_bytes, (*store)->total_bytes_read());
@@ -284,86 +232,85 @@ TEST(TierCacheTest, CountersReconcileWithStoreTraffic) {
 TEST(TierCacheTest, TryGetProbesWithoutStoreIo) {
   auto store = BlockStore::Open(TempDir("tc_try"), 2, 64);
   ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1 << 20);
+  TierCache cache(1 << 20);
   std::vector<uint8_t> data(128, 0x77);
-  // Blob only in the store: TryGet must miss and must NOT touch it.
+  // Blob only in the store: the probe must miss and must NOT touch it.
   ASSERT_TRUE((*store)->Put("cold", data.data(), 128).ok());
-  std::vector<uint8_t> out(128, 0);
-  EXPECT_FALSE(cache.TryGet("cold", out.data(), 128));
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("cold", 128, &out));
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ((*store)->total_bytes_read(), 0);
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().miss_bytes, 128);
-  // Admit inserts the DRAM copy without writing the store.
+  // AdmitBuffer inserts the DRAM copy without writing the store.
   const int64_t written_before = (*store)->total_bytes_written();
-  cache.Admit("cold", data.data(), 128);
+  const Buffer admitted = BufferOf(data);
+  cache.AdmitBuffer("cold", admitted);
   EXPECT_EQ((*store)->total_bytes_written(), written_before);
-  EXPECT_TRUE(cache.TryGet("cold", out.data(), 128));
-  EXPECT_EQ(out, data);
+  EXPECT_TRUE(cache.TryGetRef("cold", 128, &out));
+  EXPECT_EQ(out.data(), admitted.data());  // a reference, not a copy
+  EXPECT_EQ(VectorOf(out), data);
   EXPECT_EQ((*store)->total_bytes_read(), 0);  // hit: still no store I/O
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().hit_bytes, 128);
   // A size mismatch is a miss, not an error.
-  EXPECT_FALSE(cache.TryGet("cold", out.data(), 64));
+  EXPECT_FALSE(cache.TryGetRef("cold", 64, &out));
 }
 
 TEST(TierCacheTest, PinnedEntriesSurviveEvictionPressure) {
-  auto store = BlockStore::Open(TempDir("tc_pin"), 2, 64);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 1024);  // fits ~2 entries of 400 B
+  TierCache cache(1024);  // fits ~2 entries of 400 B
   std::vector<uint8_t> data(400, 0x33);
-  cache.Admit("pinned", data.data(), 400);
+  cache.AdmitBuffer("pinned", BufferOf(data));
   ASSERT_TRUE(cache.Pin("pinned"));
   EXPECT_EQ(cache.stats().pinned_bytes, 400);
   // Flood the tier: the unpinned entries churn, the pinned one stays.
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("churn" + std::to_string(i), data.data(), 400);
+    cache.AdmitBuffer("churn" + std::to_string(i), BufferOf(data));
   }
-  std::vector<uint8_t> out(400);
-  EXPECT_TRUE(cache.TryGet("pinned", out.data(), 400));
-  EXPECT_EQ(out, data);
+  Buffer out;
+  EXPECT_TRUE(cache.TryGetRef("pinned", 400, &out));
+  EXPECT_EQ(VectorOf(out), data);
   EXPECT_GT(cache.stats().evictions, 0);
   // Unpinned, it is evictable again (LRU order: push it to the back by
   // admitting fresh entries).
   cache.Unpin("pinned");
   EXPECT_EQ(cache.stats().pinned_bytes, 0);
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("churn2_" + std::to_string(i), data.data(), 400);
+    cache.AdmitBuffer("churn2_" + std::to_string(i), BufferOf(data));
   }
-  EXPECT_FALSE(cache.TryGet("pinned", out.data(), 400));
+  EXPECT_FALSE(cache.TryGetRef("pinned", 400, &out));
 }
 
 TEST(TierCacheTest, PinContractEdges) {
-  auto store = BlockStore::Open(TempDir("tc_pin2"), 2, 64);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), 512);
+  TierCache cache(512);
   std::vector<uint8_t> v1(200, 0x01), v2(200, 0x02), big(600, 0x09);
   // Pin of a non-resident key fails (never admitted / oversized).
   EXPECT_FALSE(cache.Pin("absent"));
-  cache.Admit("huge", big.data(), 600);  // larger than the tier
+  cache.AdmitBuffer("huge", BufferOf(big));  // larger than the tier
   EXPECT_FALSE(cache.Pin("huge"));
   // Overwriting a pinned key keeps the pin on the fresher value.
-  cache.Admit("k", v1.data(), 200);
+  cache.AdmitBuffer("k", BufferOf(v1));
   ASSERT_TRUE(cache.Pin("k"));
-  cache.Admit("k", v2.data(), 200);
-  std::vector<uint8_t> out(200);
+  cache.AdmitBuffer("k", BufferOf(v2));
+  Buffer out;
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("fill" + std::to_string(i), v1.data(), 200);
+    cache.AdmitBuffer("fill" + std::to_string(i), BufferOf(v1));
   }
-  ASSERT_TRUE(cache.TryGet("k", out.data(), 200));
-  EXPECT_EQ(out, v2);
+  ASSERT_TRUE(cache.TryGetRef("k", 200, &out));
+  EXPECT_EQ(VectorOf(out), v2);
   EXPECT_EQ(cache.stats().pinned_bytes, 200);
   // Pins nest: one Unpin leaves the entry pinned.
   ASSERT_TRUE(cache.Pin("k"));
   cache.Unpin("k");
   for (int i = 0; i < 8; ++i) {
-    cache.Admit("fill2_" + std::to_string(i), v1.data(), 200);
+    cache.AdmitBuffer("fill2_" + std::to_string(i), BufferOf(v1));
   }
-  EXPECT_TRUE(cache.TryGet("k", out.data(), 200));
+  EXPECT_TRUE(cache.TryGetRef("k", 200, &out));
   // Invalidate drops even a pinned entry (a Delete supersedes the pin);
   // the late Unpin is a harmless no-op.
   cache.Invalidate("k");
   EXPECT_EQ(cache.stats().pinned_bytes, 0);
-  EXPECT_FALSE(cache.TryGet("k", out.data(), 200));
+  EXPECT_FALSE(cache.TryGetRef("k", 200, &out));
   cache.Unpin("k");
 }
 

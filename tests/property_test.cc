@@ -27,6 +27,7 @@
 #include "storage/fair_queue.h"
 #include "storage/fault_injector.h"
 #include "storage/io_scheduler.h"
+#include "tests/test_buffers.h"
 #include "xfer/codec.h"
 #include "xfer/transfer_engine.h"
 
@@ -635,9 +636,8 @@ TEST(CodecPropertyTest, CompressionRatioStatsReconcileExactly) {
       const std::vector<float> data = RandomFloatTensor(floats, 55 + blob);
       const int64_t bytes = floats * 4;
       const std::string key = "b/" + std::to_string(blob++);
-      ASSERT_TRUE((*engine)->Write(flow, key, data.data(), bytes).ok());
-      std::vector<float> out(floats);
-      ASSERT_TRUE((*engine)->Read(flow, key, out.data(), bytes).ok());
+      ASSERT_TRUE((*engine)->WriteBuffer(flow, key, BufferOf(data)).ok());
+      ASSERT_TRUE((*engine)->ReadBuffer(flow, key, bytes).ok());
     }
   }
 

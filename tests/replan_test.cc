@@ -38,6 +38,7 @@
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
 #include "storage/fault_injector.h"
+#include "tests/test_buffers.h"
 #include "xfer/flow_window.h"
 #include "xfer/transfer_engine.h"
 
@@ -213,15 +214,12 @@ TEST(FlowObserverTest, ReconciliationHoldsUnderConcurrentEngineTraffic) {
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&, t] {
       const FlowClass flow = flows[t];
-      std::vector<uint8_t> buf(2048, static_cast<uint8_t>(t));
-      std::vector<uint8_t> out(buf.size());
+      const std::vector<uint8_t> buf(2048, static_cast<uint8_t>(t));
       for (int i = 0; i < 40; ++i) {
         const std::string key =
             "t" + std::to_string(t) + "/k" + std::to_string(i % 8);
-        ASSERT_TRUE(
-            (*engine)->Write(flow, key, buf.data(), buf.size()).ok());
-        ASSERT_TRUE(
-            (*engine)->Read(flow, key, out.data(), out.size()).ok());
+        ASSERT_TRUE((*engine)->WriteBuffer(flow, key, BufferOf(buf)).ok());
+        ASSERT_TRUE((*engine)->ReadBuffer(flow, key, 2048).ok());
       }
     });
   }
@@ -490,22 +488,19 @@ TEST(TransferEngineTest, StripeDeathRescalesThrottledChannels) {
   EXPECT_DOUBLE_EQ((*engine)->current_write_bandwidth(), kBw);
 
   std::vector<uint8_t> blob(64 * 1024, 0xA5);  // 16 chunks: all stripes
-  ASSERT_TRUE((*engine)
-                  ->Write(FlowClass::kCheckpoint, "pre", blob.data(),
-                          blob.size())
-                  .ok());
+  ASSERT_TRUE(
+      (*engine)->WriteBuffer(FlowClass::kCheckpoint, "pre", BufferOf(blob))
+          .ok());
   injector.KillStripe(0);
   // The write that trips the wear-out fault is retried around the dead
   // stripe, so the data path stays correct while the channels degrade.
-  ASSERT_TRUE((*engine)
-                  ->Write(FlowClass::kCheckpoint, "post", blob.data(),
-                          blob.size())
-                  .ok());
-  std::vector<uint8_t> out(blob.size());
   ASSERT_TRUE(
-      (*engine)->Read(FlowClass::kCheckpoint, "post", out.data(), out.size())
+      (*engine)->WriteBuffer(FlowClass::kCheckpoint, "post", BufferOf(blob))
           .ok());
-  EXPECT_EQ(out, blob);
+  auto out = (*engine)->ReadBuffer(FlowClass::kCheckpoint, "post",
+                                   static_cast<int64_t>(blob.size()));
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(VectorOf(*out), blob);
   EXPECT_GE(injector.counts().stripe_write_failures, 1);
   EXPECT_DOUBLE_EQ((*engine)->current_read_bandwidth(), kBw * 0.75);
   EXPECT_DOUBLE_EQ((*engine)->current_write_bandwidth(), kBw * 0.75);
@@ -528,7 +523,7 @@ TEST(TransferEngineTest, DegradeKnobOffKeepsNameplateBandwidth) {
   injector.KillStripe(1);
   std::vector<uint8_t> blob(64 * 1024, 0x3C);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kCheckpoint, "b", blob.data(), blob.size())
+      (*engine)->WriteBuffer(FlowClass::kCheckpoint, "b", BufferOf(blob))
           .ok());
   EXPECT_DOUBLE_EQ((*engine)->current_read_bandwidth(), kBw);
   EXPECT_DOUBLE_EQ((*engine)->current_write_bandwidth(), kBw);

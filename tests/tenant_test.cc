@@ -18,6 +18,7 @@
 #include "storage/fair_queue.h"
 #include "storage/fault_injector.h"
 #include "storage/io_scheduler.h"
+#include "tests/test_buffers.h"
 #include "xfer/tenant.h"
 #include "xfer/transfer_engine.h"
 
@@ -143,15 +144,14 @@ class TenantHarness {
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), 1, tuning);
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", byte_.data(), 1,
-                        IoScheduler::Priority::kLatencyCritical);
+    sched_->SubmitWrite("gate", byte_, IoScheduler::Priority::kLatencyCritical);
     injector_.WaitForStalled(1);
   }
 
   void SubmitTenant(const std::string& key, int tenant,
                     IoScheduler::Priority priority =
                         IoScheduler::Priority::kBackground) {
-    sched_->SubmitWrite(key, byte_.data(), 1, priority,
+    sched_->SubmitWrite(key, byte_, priority,
                         [this, key](const IoResult&) {
                           std::lock_guard<std::mutex> lock(mu_);
                           order_.push_back(key);
@@ -172,7 +172,7 @@ class TenantHarness {
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
-  std::vector<uint8_t> byte_ = {0x01};
+  const Buffer byte_ = Buffer::CopyOf("\x01", 1);
   std::mutex mu_;
   std::vector<std::string> order_;
 };
@@ -261,44 +261,40 @@ TEST(IoSchedulerTenantTest, WeightsSkewServiceOrder) {
 // ---------- TierCache tenant quotas ----------
 
 TEST(TierCacheTenantTest, QuotaEvictsOwnEntriesOnly) {
-  auto store = BlockStore::Open(TempDir("quota"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), /*capacity_bytes=*/64 * 1024);
+  TierCache cache(/*capacity_bytes=*/64 * 1024);
   cache.SetTenantQuota(1, 2048);
-  std::vector<uint8_t> kb(1024, 0x5A);
+  const Buffer kb = BufferOf(std::vector<uint8_t>(1024, 0x5A));
 
-  cache.Admit("t2/a", kb.data(), kb.size(), /*tenant=*/2);
-  cache.Admit("t1/a", kb.data(), kb.size(), /*tenant=*/1);
-  cache.Admit("t1/b", kb.data(), kb.size(), /*tenant=*/1);
+  cache.AdmitBuffer("t2/a", kb, /*tenant=*/2);
+  cache.AdmitBuffer("t1/a", kb, /*tenant=*/1);
+  cache.AdmitBuffer("t1/b", kb, /*tenant=*/1);
   EXPECT_EQ(cache.TenantBytes(1), 2048);
 
   // A third admission breaches tenant 1's quota: its own LRU entry
   // (t1/a) goes; tenant 2's entry must survive untouched.
-  cache.Admit("t1/c", kb.data(), kb.size(), /*tenant=*/1);
+  cache.AdmitBuffer("t1/c", kb, /*tenant=*/1);
   EXPECT_EQ(cache.TenantBytes(1), 2048);
-  std::vector<uint8_t> out(1024);
-  EXPECT_FALSE(cache.TryGet("t1/a", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t1/b", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t1/c", out.data(), out.size()));
-  EXPECT_TRUE(cache.TryGet("t2/a", out.data(), out.size()));
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("t1/a", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t1/b", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t1/c", 1024, &out));
+  EXPECT_TRUE(cache.TryGetRef("t2/a", 1024, &out));
   EXPECT_EQ(cache.TenantBytes(2), 1024);
 }
 
 TEST(TierCacheTenantTest, UnquotaedTenantsShareCapacityAsBefore) {
-  auto store = BlockStore::Open(TempDir("noquota"), 2, 4096);
-  ASSERT_TRUE(store.ok());
-  TierCache cache(store->get(), /*capacity_bytes=*/4096);
-  std::vector<uint8_t> kb(1024, 0x11);
+  TierCache cache(/*capacity_bytes=*/4096);
+  const Buffer kb = BufferOf(std::vector<uint8_t>(1024, 0x11));
   for (int i = 0; i < 6; ++i) {
-    cache.Admit("k" + std::to_string(i), kb.data(), kb.size(), i % 2);
+    cache.AdmitBuffer("k" + std::to_string(i), kb, i % 2);
   }
   // Plain capacity eviction: the two oldest entries are gone whatever
   // tenant they carried.
-  std::vector<uint8_t> out(1024);
-  EXPECT_FALSE(cache.TryGet("k0", out.data(), out.size()));
-  EXPECT_FALSE(cache.TryGet("k1", out.data(), out.size()));
+  Buffer out;
+  EXPECT_FALSE(cache.TryGetRef("k0", 1024, &out));
+  EXPECT_FALSE(cache.TryGetRef("k1", 1024, &out));
   for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(cache.TryGet("k" + std::to_string(i), out.data(), out.size()));
+    EXPECT_TRUE(cache.TryGetRef("k" + std::to_string(i), 1024, &out));
   }
   EXPECT_EQ(cache.TenantBytes(0) + cache.TenantBytes(1), 4096);
 }
@@ -333,7 +329,6 @@ void ExpectCountersSum(const TransferStats& total,
       sum.retries += c.retries;
       sum.giveups += c.giveups;
       sum.backoff_seconds += c.backoff_seconds;
-      sum.bytes_copied += c.bytes_copied;
       sum.allocs_avoided += c.allocs_avoided;
     }
     const FlowCounters& g = total.flow[f];
@@ -347,7 +342,6 @@ void ExpectCountersSum(const TransferStats& total,
     EXPECT_EQ(sum.errors, g.errors) << "flow " << f;
     EXPECT_EQ(sum.retries, g.retries) << "flow " << f;
     EXPECT_EQ(sum.giveups, g.giveups) << "flow " << f;
-    EXPECT_EQ(sum.bytes_copied, g.bytes_copied) << "flow " << f;
     EXPECT_EQ(sum.allocs_avoided, g.allocs_avoided) << "flow " << f;
     // The same deltas are applied to both copies, but global and
     // per-tenant accumulate in different orders — fp sums may differ
@@ -373,23 +367,18 @@ TEST(TransferEngineTenantTest, PerTenantAccountingReconcilesExactly) {
     const std::string base = "t" + std::to_string(tenant) + "/k";
     for (int i = 0; i < 16; ++i) {
       ASSERT_TRUE(
-          engine.Write(flow, base + std::to_string(i), blob.data(),
-                       blob.size())
+          engine.WriteBuffer(flow, base + std::to_string(i), BufferOf(blob))
               .ok());
     }
-    std::vector<uint8_t> out(blob.size());
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(engine
-                      .Read(flow, base + std::to_string(i), out.data(),
-                            blob.size())
-                      .ok());
-      EXPECT_EQ(out, blob);
+      auto out = engine.ReadBuffer(flow, base + std::to_string(i),
+                                   static_cast<int64_t>(blob.size()));
+      ASSERT_TRUE(out.ok());
+      EXPECT_EQ(VectorOf(*out), blob);
     }
     // A read of a missing key: the error must land in this tenant's
     // error counter and nowhere else.
-    std::vector<uint8_t> miss(16);
-    EXPECT_FALSE(
-        engine.Read(flow, base + "missing", miss.data(), miss.size()).ok());
+    EXPECT_FALSE(engine.ReadBuffer(flow, base + "missing", 16).ok());
   };
 
   std::thread t1(worker, 1, FlowClass::kParamFetch, 11);
@@ -423,8 +412,7 @@ TEST(TransferEngineTenantTest, UnscopedTrafficIsTenantZero) {
   TransferEngine& engine = **engine_or;
   std::vector<uint8_t> blob(512, 0x7E);
   ASSERT_TRUE(
-      engine.Write(FlowClass::kCheckpoint, "k", blob.data(), blob.size())
-          .ok());
+      engine.WriteBuffer(FlowClass::kCheckpoint, "k", BufferOf(blob)).ok());
   EXPECT_EQ(engine.tenants(), (std::vector<TenantId>{0}));
   EXPECT_EQ(engine.tenant_stats(0).Flow(FlowClass::kCheckpoint).bytes_written,
             static_cast<int64_t>(blob.size()));
@@ -443,8 +431,7 @@ TEST(TransferEngineTenantTest, InflightQuotaBackpressuresAndDrainsToZero) {
   std::vector<TransferEngine::Ticket> tickets;
   for (int i = 0; i < 12; ++i) {
     tickets.push_back(engine.SubmitWrite(
-        FlowClass::kDeferredState, "q" + std::to_string(i), blob.data(),
-        blob.size()));
+        FlowClass::kDeferredState, "q" + std::to_string(i), BufferOf(blob)));
   }
   ASSERT_TRUE(engine.WaitAll(tickets).ok());
   ASSERT_TRUE(engine.Drain().ok());
@@ -468,8 +455,7 @@ TEST(TransferEngineTenantTest, OversizedRequestStillAdmittedWhenIdle) {
   ScopedTenant scope(1);
   std::vector<uint8_t> big(8192, 0x44);
   ASSERT_TRUE(
-      engine.Write(FlowClass::kCheckpoint, "big", big.data(), big.size())
-          .ok());
+      engine.WriteBuffer(FlowClass::kCheckpoint, "big", BufferOf(big)).ok());
   EXPECT_EQ(engine.tenant_inflight_bytes(1), 0);
 }
 
@@ -486,16 +472,16 @@ TEST(TransferEngineTenantTest, DramQuotaKeepsNeighborsResident) {
   std::vector<uint8_t> blob(2048, 0x66);
   {
     ScopedTenant scope(2);
-    ASSERT_TRUE(engine.Write(FlowClass::kParamFetch, "t2/hot", blob.data(),
-                             blob.size())
-                    .ok());
+    ASSERT_TRUE(
+        engine.WriteBuffer(FlowClass::kParamFetch, "t2/hot", BufferOf(blob))
+            .ok());
   }
   {
     ScopedTenant scope(1);
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(engine.Write(FlowClass::kGradState,
-                               "t1/k" + std::to_string(i), blob.data(),
-                               blob.size())
+      ASSERT_TRUE(engine
+                      .WriteBuffer(FlowClass::kGradState,
+                                   "t1/k" + std::to_string(i), BufferOf(blob))
                       .ok());
     }
   }
@@ -506,11 +492,10 @@ TEST(TransferEngineTenantTest, DramQuotaKeepsNeighborsResident) {
   const TransferStats before = engine.stats();
   {
     ScopedTenant scope(2);
-    std::vector<uint8_t> out(blob.size());
-    ASSERT_TRUE(
-        engine.Read(FlowClass::kParamFetch, "t2/hot", out.data(), out.size())
-            .ok());
-    EXPECT_EQ(out, blob);
+    auto out = engine.ReadBuffer(FlowClass::kParamFetch, "t2/hot",
+                                 static_cast<int64_t>(blob.size()));
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(VectorOf(*out), blob);
   }
   const TransferStats after = engine.stats();
   EXPECT_EQ(after.Flow(FlowClass::kParamFetch).cache_hits,

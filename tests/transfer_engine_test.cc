@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/test_buffers.h"
 
 namespace ratel {
 namespace {
@@ -64,14 +65,13 @@ TEST(TransferEngineTest, RoundTripPerFlowWithAccounting) {
     const std::string key = std::string("blob/") + FlowClassName(flow);
     std::vector<uint8_t> data(1000 + 100 * i);
     for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
-    const auto wt = (*engine)->SubmitWrite(flow, key, data.data(),
-                                           static_cast<int64_t>(data.size()));
+    const auto wt = (*engine)->SubmitWrite(flow, key, BufferOf(data));
     ASSERT_TRUE((*engine)->Wait(wt).ok());
-    std::vector<uint8_t> out;
+    Buffer out;
     const auto rt = (*engine)->SubmitRead(flow, key, &out,
                                           static_cast<int64_t>(data.size()));
     ASSERT_TRUE((*engine)->Wait(rt).ok());
-    EXPECT_EQ(out, data);
+    EXPECT_EQ(VectorOf(out), data);
     const TransferStats snap = (*engine)->stats();
     const FlowCounters& c = snap.Flow(flow);
     EXPECT_EQ(c.reads, 1);
@@ -94,13 +94,13 @@ TEST(TransferEngineTest, DramTierServesHotReads) {
   std::vector<uint8_t> data(2048, 0x3C);
   // Write-through admits the DRAM copy at submit time, so a same-key
   // read resolves from DRAM even before the store write lands.
-  const auto wt = (*engine)->SubmitWrite(FlowClass::kParamFetch, "hot",
-                                         data.data(), 2048);
-  std::vector<uint8_t> out;
+  const auto wt =
+      (*engine)->SubmitWrite(FlowClass::kParamFetch, "hot", BufferOf(data));
+  Buffer out;
   const auto rt =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "hot", &out, 2048);
   ASSERT_TRUE((*engine)->Wait(rt).ok());
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(VectorOf(out), data);
   ASSERT_TRUE((*engine)->Wait(wt).ok());
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kParamFetch);
@@ -121,22 +121,21 @@ TEST(TransferEngineTest, ColdReadPromotesIntoDram) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(512, 0x7E);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kGradState, "k", data.data(), 512).ok());
-  ASSERT_TRUE((*engine)->Write(FlowClass::kGradState, "evictor", data.data(),
-                               512).ok());
-  const TransferStats before = (*engine)->stats();
-  std::vector<uint8_t> out(512);
+      (*engine)->WriteBuffer(FlowClass::kGradState, "k", BufferOf(data)).ok());
   ASSERT_TRUE(
-      (*engine)->Read(FlowClass::kParamFetch, "k", out.data(), 512).ok());
-  EXPECT_EQ(out, data);
+      (*engine)->WriteBuffer(FlowClass::kGradState, "evictor", BufferOf(data))
+          .ok());
+  const TransferStats before = (*engine)->stats();
+  auto out = (*engine)->ReadBuffer(FlowClass::kParamFetch, "k", 512);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(VectorOf(*out), data);
   const TransferStats mid = (*engine)->stats();
   EXPECT_EQ(mid.Flow(FlowClass::kParamFetch).cache_misses -
                 before.Flow(FlowClass::kParamFetch).cache_misses,
             1);
   EXPECT_EQ(mid.store_bytes_read - before.store_bytes_read, 512);
   // The miss promoted "k": the second read is a DRAM hit, no store I/O.
-  ASSERT_TRUE(
-      (*engine)->Read(FlowClass::kParamFetch, "k", out.data(), 512).ok());
+  ASSERT_TRUE((*engine)->ReadBuffer(FlowClass::kParamFetch, "k", 512).ok());
   const TransferStats after = (*engine)->stats();
   EXPECT_EQ(after.Flow(FlowClass::kParamFetch).cache_hits -
                 mid.Flow(FlowClass::kParamFetch).cache_hits,
@@ -148,7 +147,7 @@ TEST(TransferEngineTest, ColdReadPromotesIntoDram) {
 TEST(TransferEngineTest, ErrorsSurfaceAndAreCounted) {
   auto engine = OpenEngine("err");
   ASSERT_TRUE(engine.ok());
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto bad =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "missing", &out, 64);
   EXPECT_EQ((*engine)->Wait(bad).code(), StatusCode::kNotFound);
@@ -165,10 +164,10 @@ TEST(TransferEngineTest, DeltaIsolatesAWindow) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(256, 1);
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kGradState, "a", data.data(), 256).ok());
+      (*engine)->WriteBuffer(FlowClass::kGradState, "a", BufferOf(data)).ok());
   const TransferStats t0 = (*engine)->stats();
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kCheckpoint, "b", data.data(), 256).ok());
+      (*engine)->WriteBuffer(FlowClass::kCheckpoint, "b", BufferOf(data)).ok());
   const TransferStats d = Delta((*engine)->stats(), t0);
   EXPECT_EQ(d.Flow(FlowClass::kGradState).bytes_written, 0);
   EXPECT_EQ(d.Flow(FlowClass::kCheckpoint).bytes_written, 256);
@@ -200,17 +199,16 @@ TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
             "t" + std::to_string(t) + "/k" + std::to_string(i % 8);
         std::vector<uint8_t> data(64 + rng.NextBelow(512));
         for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
-        const auto wt = (*engine)->SubmitWrite(
-            flow, key, data.data(), static_cast<int64_t>(data.size()));
+        const auto wt = (*engine)->SubmitWrite(flow, key, BufferOf(data));
         ASSERT_TRUE((*engine)->Wait(wt).ok());
         submitted_write_bytes.fetch_add(static_cast<int64_t>(data.size()));
         // Read back after the write resolved: must observe this write.
-        std::vector<uint8_t> out;
+        Buffer out;
         const auto rt = (*engine)->SubmitRead(
             flow, key, &out, static_cast<int64_t>(data.size()));
         const Status read = (*engine)->Wait(rt);
         ASSERT_TRUE(read.ok()) << read.ToString();
-        if (out != data) failed_reads.fetch_add(1);
+        if (VectorOf(out) != data) failed_reads.fetch_add(1);
       }
     });
   }
@@ -231,14 +229,10 @@ TEST(TransferEngineTest, ConcurrentMixedFlowStress) {
     EXPECT_EQ(c.errors, 0) << FlowClassName(static_cast<FlowClass>(i));
     EXPECT_EQ(c.cache_hits + c.cache_misses, c.reads)
         << FlowClassName(static_cast<FlowClass>(i));
-    // Legacy-API traffic with the DRAM tier on copies exactly once per
-    // direction: the write's staging copy, and either the hit memcpy or
-    // the miss promotion on the read side. Never twice.
-    EXPECT_EQ(c.bytes_copied, c.bytes_read + c.bytes_written)
-        << FlowClassName(static_cast<FlowClass>(i));
-    // Every legacy write still avoids one allocation: the DRAM tier
-    // takes a reference to the staged buffer instead of its own copy.
-    EXPECT_EQ(c.allocs_avoided, c.writes)
+    // Every write avoids two allocations (the DRAM tier and the store
+    // path both take a reference to the published buffer) and every
+    // read one (a hit is served by reference, a miss promoted by one).
+    EXPECT_EQ(c.allocs_avoided, 2 * c.writes + c.reads)
         << FlowClassName(static_cast<FlowClass>(i));
   }
   EXPECT_EQ(flow_reads, kThreads * kOpsPerThread);
@@ -257,11 +251,10 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
   auto engine = OpenEngine("drain");
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 9);
-  std::vector<std::vector<uint8_t>> outs(16);
+  std::vector<Buffer> outs(16);
   for (int i = 0; i < 16; ++i) {
     const std::string key = "d" + std::to_string(i);
-    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint, key, data.data(),
-                                 128);
+    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint, key, BufferOf(data));
     (void)(*engine)->SubmitRead(FlowClass::kCheckpoint, key, &outs[i], 128);
   }
   // Never waited any ticket: Drain settles everything.
@@ -269,10 +262,11 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
   const TransferStats stats = (*engine)->stats();
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).writes, 16);
   EXPECT_EQ(stats.Flow(FlowClass::kCheckpoint).reads, 16);
-  for (const auto& out : outs) EXPECT_EQ(out, data);
+  for (const auto& out : outs) EXPECT_EQ(VectorOf(out), data);
   // Fresh submissions still work after a drain.
   ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kGradState, "post", data.data(), 128).ok());
+      (*engine)->WriteBuffer(FlowClass::kGradState, "post", BufferOf(data))
+          .ok());
   EXPECT_TRUE((*engine)->Contains("post"));
 }
 
@@ -302,61 +296,11 @@ TEST(TransferEngineZeroCopyTest, BufferWritePublishesOneSharedAllocation) {
 
   const TransferStats stats = (*engine)->stats();
   const FlowCounters& c = stats.Flow(FlowClass::kGradState);
-  EXPECT_EQ(c.bytes_copied, 0) << "buffer-native round trip must not copy";
   // Write avoided the tier copy + the staging copy; the hit read avoided
   // the read allocation by serving a reference.
   EXPECT_EQ(c.allocs_avoided, 3);
   EXPECT_EQ(c.cache_hits, 1);
   EXPECT_EQ(stats.store_bytes_read, 0);
-}
-
-// The legacy pointer API now costs exactly ONE host copy per direction
-// (it used to cost two with the DRAM tier: staging + tier admit).
-TEST(TransferEngineZeroCopyTest, LegacyApiCopiesAtMostOncePerDirection) {
-  auto engine = OpenEngine("zc_legacy", /*cache_bytes=*/1 << 20);
-  ASSERT_TRUE(engine.ok());
-  std::vector<uint8_t> data(512, 0x11);
-  ASSERT_TRUE(
-      (*engine)->Write(FlowClass::kParamFetch, "k", data.data(), 512).ok());
-  {
-    const TransferStats stats = (*engine)->stats();
-    const FlowCounters& c = stats.Flow(FlowClass::kParamFetch);
-    EXPECT_EQ(c.bytes_copied, 512) << "write = one staging copy, tier by ref";
-    EXPECT_EQ(c.bytes_written, 512);
-  }
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(
-      (*engine)
-          ->Wait((*engine)->SubmitRead(FlowClass::kParamFetch, "k", &out, 512))
-          .ok());
-  EXPECT_EQ(out, data);
-  const TransferStats stats = (*engine)->stats();
-  const FlowCounters& c = stats.Flow(FlowClass::kParamFetch);
-  EXPECT_EQ(c.cache_hits, 1);
-  EXPECT_EQ(c.bytes_copied, c.bytes_read + c.bytes_written)
-      << "one copy per direction, never two";
-}
-
-// Read() convenience on a hot key: one memcpy into the caller's raw
-// pointer and nothing else (previously two: cache -> vector -> out).
-TEST(TransferEngineZeroCopyTest, RawReadOnHotKeyCostsOneCopy) {
-  auto engine = OpenEngine("zc_raw", /*cache_bytes=*/1 << 20);
-  ASSERT_TRUE(engine.ok());
-  Buffer payload = (*engine)->buffer_pool().Lease(1024);
-  std::memset(payload.mutable_data(), 0x22, 1024);
-  ASSERT_TRUE((*engine)
-                  ->WriteBuffer(FlowClass::kActivationSpill, "hot",
-                                std::move(payload))
-                  .ok());
-  std::vector<uint8_t> out(1024);
-  ASSERT_TRUE(
-      (*engine)
-          ->Read(FlowClass::kActivationSpill, "hot", out.data(), 1024)
-          .ok());
-  EXPECT_EQ(out[1023], 0x22);
-  const TransferStats stats = (*engine)->stats();
-  const FlowCounters& c = stats.Flow(FlowClass::kActivationSpill);
-  EXPECT_EQ(c.bytes_copied, 1024);  // exactly the final delivery memcpy
 }
 
 // A cold buffer read leases from the pool, promotes into DRAM *by
@@ -395,7 +339,6 @@ TEST(TransferEngineZeroCopyTest, ColdBufferReadPromotesByReference) {
   const FlowCounters& c = d.Flow(FlowClass::kParamFetch);
   EXPECT_EQ(c.cache_misses, 1);
   EXPECT_EQ(c.cache_hits, 1);
-  EXPECT_EQ(c.bytes_copied, 0);
   EXPECT_EQ(c.allocs_avoided, 2);  // ref promotion + ref-served hit
 }
 
@@ -439,11 +382,11 @@ TEST(TransferEngineTest, DoubleWaitIsInvalidArgument) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(64, 5);
   const auto wt =
-      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "k", data.data(), 64);
+      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "k", BufferOf(data));
   ASSERT_TRUE((*engine)->Wait(wt).ok());
   EXPECT_EQ((*engine)->Wait(wt).code(), StatusCode::kInvalidArgument);
   // Cache-resolved tickets are single-use too.
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto rt = (*engine)->SubmitRead(FlowClass::kCheckpoint, "k", &out, 64);
   ASSERT_TRUE((*engine)->Wait(rt).ok());
   EXPECT_EQ((*engine)->Wait(rt).code(), StatusCode::kInvalidArgument);
@@ -457,19 +400,18 @@ TEST(TransferEngineTest, WaitAllResolvesABatchAndConsumesEveryTicket) {
   std::vector<uint8_t> data(256, 0xAB);
   std::vector<TransferEngine::Ticket> tickets;
   for (int i = 0; i < 4; ++i) {
-    tickets.push_back((*engine)->SubmitWrite(FlowClass::kGradState,
-                                             "k" + std::to_string(i),
-                                             data.data(), 256));
+    tickets.push_back((*engine)->SubmitWrite(
+        FlowClass::kGradState, "k" + std::to_string(i), BufferOf(data)));
   }
   // With the DRAM tier on, the same-key reads resolve at submit time:
   // WaitAll must consume cache-resolved and inflight tickets alike.
-  std::vector<std::vector<uint8_t>> outs(4);
+  std::vector<Buffer> outs(4);
   for (int i = 0; i < 4; ++i) {
     tickets.push_back((*engine)->SubmitRead(
         FlowClass::kGradState, "k" + std::to_string(i), &outs[i], 256));
   }
   ASSERT_TRUE((*engine)->WaitAll(tickets).ok());
-  for (const auto& out : outs) EXPECT_EQ(out, data);
+  for (const auto& out : outs) EXPECT_EQ(VectorOf(out), data);
   // Every ticket was consumed exactly as by a per-ticket Wait.
   for (const auto t : tickets) {
     EXPECT_EQ((*engine)->Wait(t).code(), StatusCode::kInvalidArgument);
@@ -482,8 +424,8 @@ TEST(TransferEngineTest, WaitAllReturnsTheFirstErrorInIssueOrder) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(64, 1);
   const auto good =
-      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "ok", data.data(), 64);
-  std::vector<uint8_t> out;
+      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "ok", BufferOf(data));
+  Buffer out;
   const auto missing =
       (*engine)->SubmitRead(FlowClass::kParamFetch, "missing", &out, 64);
   // Issue order: ok, kNotFound, kInvalidArgument — the first failure
@@ -499,7 +441,7 @@ TEST(TransferEngineTest, WaitAllReturnsTheFirstErrorInIssueOrder) {
 TEST(TransferEngineTest, WaitAllNeverMasksARealErrorWithTicketBookkeeping) {
   auto engine = OpenEngine("waitallmask");
   ASSERT_TRUE(engine.ok());
-  std::vector<uint8_t> out;
+  Buffer out;
   const auto missing =
       (*engine)->SubmitRead(FlowClass::kGradState, "missing", &out, 64);
   // A never-issued ticket EARLIER in issue order must not hide the
@@ -510,7 +452,7 @@ TEST(TransferEngineTest, WaitAllNeverMasksARealErrorWithTicketBookkeeping) {
   // With no real failure in the set, the bookkeeping mistake surfaces.
   std::vector<uint8_t> data(64, 2);
   const auto good =
-      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "ok2", data.data(), 64);
+      (*engine)->SubmitWrite(FlowClass::kCheckpoint, "ok2", BufferOf(data));
   EXPECT_EQ((*engine)->WaitAll({424243, good}).code(),
             StatusCode::kInvalidArgument);
 }
@@ -520,7 +462,7 @@ TEST(TransferEngineTest, DrainIsIdempotent) {
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 7);
   const auto t =
-      (*engine)->SubmitWrite(FlowClass::kGradState, "k", data.data(), 128);
+      (*engine)->SubmitWrite(FlowClass::kGradState, "k", BufferOf(data));
   ASSERT_TRUE((*engine)->Drain().ok());
   ASSERT_TRUE((*engine)->Drain().ok());  // drained twice: still fine
   ASSERT_TRUE((*engine)->Drain().ok());  // and on an idle engine

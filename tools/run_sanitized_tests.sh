@@ -10,9 +10,11 @@
 # `determinism` — the suites that exercise the fault seam's concurrent
 # retry/stall paths, where TSan coverage matters most — `async`, the
 # deferred-epoch optimizer pipeline whose background epochs + reaper
-# thread race foreground drains by design — `buffer`, the pooled
-# zero-copy buffer suite whose cross-thread lease/release refcounting
-# is exactly what TSan/ASan exist for — or `tenant`, the multi-tenant
+# thread race foreground drains by design — `buffer`, the whole data
+# path (buffer pool, I/O scheduler, DRAM tier, transfer engine,
+# prefetcher): every transfer rides Buffer lifetimes, so its
+# cross-thread lease/release refcounting is exactly what TSan/ASan
+# exist for — or `tenant`, the multi-tenant
 # JobManager suite whose N job threads hammer one shared engine's
 # accounting, quotas, and fair-share lanes concurrently — or `codec`,
 # the offload-codec conformance battery whose framed encode/decode runs
