@@ -132,7 +132,9 @@ TEST(CostModelTest, RecomputeFlopsMonotoneNonIncreasing) {
 
 // ---------- Convexity property sweep (the Section IV-D proof) ----------
 
-using ConvexityParam = std::tuple<const char*, int, int64_t>;
+// std::string, not const char*: gtest prints a pointer parameter by its
+// address, and that printout is part of the discovered ctest name.
+using ConvexityParam = std::tuple<std::string, int, int64_t>;
 
 class ConvexityTest : public ::testing::TestWithParam<ConvexityParam> {};
 

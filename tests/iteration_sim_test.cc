@@ -224,7 +224,9 @@ TEST(IterationSimTest, MoreSsdsNeverSlower) {
   }
 }
 
-using ModeParam = std::tuple<const char*, int>;
+// std::string, not const char*: gtest prints a pointer parameter by its
+// address, and that printout is part of the discovered ctest name.
+using ModeParam = std::tuple<std::string, int>;
 
 class GradientModeSweep : public ::testing::TestWithParam<ModeParam> {};
 
