@@ -155,6 +155,18 @@ Buffer BufferPool::Lease(int64_t size) {
       size);
 }
 
+void BufferPool::Reserve(int64_t size, int64_t count) {
+  if (size <= 0) return;
+  const int64_t capacity = SizeClassFor(size);
+  std::lock_guard<std::mutex> lock(state_->mu);
+  auto& free = state_->free[capacity];
+  while (static_cast<int64_t>(free.size()) < count) {
+    free.push_back(std::make_unique<uint8_t[]>(static_cast<size_t>(capacity)));
+    ++state_->stats.allocations;
+    state_->stats.pooled_bytes += capacity;
+  }
+}
+
 void BufferPool::Trim() {
   std::lock_guard<std::mutex> lock(state_->mu);
   state_->free.clear();

@@ -106,6 +106,14 @@ class BufferPool {
   /// >= max(size, min_block_bytes).
   int64_t SizeClassFor(int64_t size) const;
 
+  /// Tops the free list of SizeClassFor(size)'s class up to `count`
+  /// blocks, each a counted allocation. Called while none of the
+  /// caller's leases of that class are outstanding, it makes `count`
+  /// concurrent leases of the class allocation-free — how a consumer
+  /// whose in-flight peak depends on timing reserves that peak's bound
+  /// once, instead of growing the pool whenever a new peak is reached.
+  void Reserve(int64_t size, int64_t count);
+
   /// Frees every block sitting in the free lists (outstanding leases
   /// are unaffected and still return — to the now-empty lists).
   void Trim();

@@ -60,28 +60,26 @@ AsyncUpdateEngine::AsyncUpdateEngine(const AdamConfig& config,
   RATEL_CHECK(engine != nullptr);
   options_.chunk = std::max<int64_t>(
       1, std::min(options_.chunk, CpuAdamKernel::kChunk));
+  reaper_ = std::thread([this] { ReaperLoop(); });
   if (options_.async) {
     background_ =
         std::make_unique<ThreadPool>(std::max(1, options_.background_threads));
     epochs_ = std::make_unique<TaskGroup>(background_.get());
-    reaper_ = std::thread([this] { ReaperLoop(); });
   }
 }
 
 AsyncUpdateEngine::~AsyncUpdateEngine() {
-  if (background_ != nullptr) {
-    // Wait every deferred epoch out (tail applied, writes resolved)
-    // before any member it references goes away.
-    (void)DrainAll();
-    // All epochs are done enqueueing; the reaper drains what's left of
-    // its queue (normally empty after DrainAll) and exits.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reaper_shutdown_ = true;
-    }
-    reaper_cv_.notify_all();
-    reaper_.join();
+  // Wait every deferred epoch and writeback out (tail applied, writes
+  // resolved) before any member it references goes away.
+  (void)DrainAll();
+  // Nothing enqueues any more; the reaper drains what's left of its
+  // queue (normally empty after DrainAll) and exits.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    reaper_shutdown_ = true;
   }
+  reaper_cv_.notify_all();
+  reaper_.join();
 }
 
 void AsyncUpdateEngine::ReaperLoop() {
@@ -97,8 +95,10 @@ void AsyncUpdateEngine::ReaperLoop() {
     }
     // FIFO matches store submission order, so each wait sleeps roughly
     // until its own writes clear the (possibly throttled) channel. Only
-    // the actual blocking time counts toward background_seconds — queue
-    // wait would double-count the single channel's drain across epochs.
+    // the actual blocking time of deferred epochs counts toward
+    // background_seconds — queue wait would double-count the single
+    // channel's drain across epochs, and a sync writeback overlaps
+    // nothing the step does not wait for at its end.
     const auto start = std::chrono::steady_clock::now();
     const Status status = engine_->WaitAll(pending.tickets);
     // The store is durable for this epoch now: release its DRAM-tier
@@ -113,7 +113,7 @@ void AsyncUpdateEngine::ReaperLoop() {
       if (!status.ok() && pending.meta->epoch_status.ok()) {
         pending.meta->epoch_status = status;
       }
-      stats_.background_seconds += SecondsSince(start);
+      if (pending.deferred) stats_.background_seconds += SecondsSince(start);
     }
     epoch_cv_.notify_all();
   }
@@ -212,7 +212,7 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
     n = meta->size;
   }
   if (!options_.async || n == 0) {
-    return StepTensorSync(name, step, n, grads16, grad_unscale);
+    return StepTensorSync(meta, name, step, n, grads16, grad_unscale);
   }
 
   // SSD -> Main: stream P32 + OS32 (12 bytes/param) concurrently and
@@ -292,17 +292,9 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
   // Epoch workers run outside any caller tenant scope; attribute their
   // deferred writebacks to the optimizer's own tenant.
   ScopedTenant tenant_scope(options_.tenant);
-  {
-    // Same-key store ordering: the previous epoch's writes must have
-    // resolved before this epoch's are submitted, or the store could
-    // land them out of order. (The foreground only enqueues an epoch
-    // after draining the previous one, so this blocks only while the
-    // write channel still drains the tensor's previous step.)
-    std::unique_lock<std::mutex> lock(mu_);
-    epoch_cv_.wait(lock, [meta] { return !meta->writes_inflight; });
-  }
-  // Clock the epoch's useful work only — the ordering wait above idles
-  // on the channel and would double-count its drain across workers.
+  // Clock the epoch's useful work only — WriteBack's same-key ordering
+  // wait idles on the channel and would double-count its drain across
+  // workers.
   const auto start = std::chrono::steady_clock::now();
   // Apply the deferred tail with the exact (step, grads, state) inputs
   // of the foreground's hot pass — elementwise Adam makes the combined
@@ -319,30 +311,45 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
   p32_in.reset();  // return read staging to the pool before writeback
   m_in.reset();
   v_in.reset();
-
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.background_seconds += SecondsSince(start);
+  }
   // Main -> SSD off the critical path: publish P32 + OS32 + P16
   // (14 bytes/param) as background kDeferredState traffic — a
   // latency-critical param fetch can always overtake these in the
-  // scheduler.
-  const std::vector<TransferEngine::Ticket> writes = {
-      engine_->SubmitWrite(FlowClass::kDeferredState, P32Key(name),
-                           std::move(p32_out)),
-      engine_->SubmitWrite(FlowClass::kDeferredState, MomKey(name),
-                           std::move(m_out)),
-      engine_->SubmitWrite(FlowClass::kDeferredState, VarKey(name),
-                           std::move(v_out)),
-      engine_->SubmitWrite(FlowClass::kDeferredState, P16Key(name),
-                           std::move(p16)),
+  // scheduler. Publishing also clears epoch_pending.
+  WriteBack(meta, name, FlowClass::kDeferredState, std::move(p32_out),
+            std::move(m_out), std::move(v_out), std::move(p16));
+}
+
+void AsyncUpdateEngine::WriteBack(TensorMeta* meta, const std::string& name,
+                                  FlowClass flow, Buffer p32, Buffer m,
+                                  Buffer v, Buffer p16) {
+  {
+    // Same-key store ordering: the tensor's previous writebacks must
+    // have resolved before these are submitted, or the store could land
+    // them out of order. (Every consumer drains first, so this blocks
+    // only while the write channel still drains the tensor's previous
+    // step behind a published barrier.)
+    std::unique_lock<std::mutex> lock(mu_);
+    epoch_cv_.wait(lock, [meta] { return !meta->writes_inflight; });
+  }
+  std::vector<TransferEngine::Ticket> writes = {
+      engine_->SubmitWrite(flow, P32Key(name), std::move(p32)),
+      engine_->SubmitWrite(flow, MomKey(name), std::move(m)),
+      engine_->SubmitWrite(flow, VarKey(name), std::move(v)),
+      engine_->SubmitWrite(flow, P16Key(name), std::move(p16)),
   };
   // The published barrier is only sound while all four blobs stay
   // resident in the DRAM tier: pin them until the store writes resolve
   // (the reaper unpins). A failed pin means the entry was evicted
   // between admission and here, or the blob is larger than the tier and
   // was never admitted — a post-drain read could then miss and reach
-  // the store ahead of the unresolved write, so this epoch must drain
+  // the store ahead of the unresolved write, so these writes must drain
   // durably instead. No same-key read can intervene before the pins:
   // every consumer drains first, and the drain only releases once
-  // epoch_pending clears below.
+  // the flags below are set.
   const bool have_tier = !drain_needs_durable();
   std::vector<std::string> pinned;
   pinned.reserve(4);
@@ -362,30 +369,30 @@ void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
       pinned.clear();
     }
   }
+  const bool deferred = flow == FlowClass::kDeferredState;
   {
     // Published: the DRAM tier serves the new state coherently from
-    // here on; foreground consumers behind the published barrier may
-    // proceed while the store writes resolve. Resolution itself is the
-    // reaper's job — this worker is free for the next epoch the moment
-    // the tickets are handed off, so a backlogged write channel can
-    // never dam up the epoch queue behind one in-flight writeback.
+    // here on; consumers behind the published barrier may proceed while
+    // the store writes resolve. Resolution itself is the reaper's job —
+    // the caller is free the moment the tickets are handed off, so a
+    // backlogged write channel never holds an epoch worker or a
+    // pipeline thread.
     std::lock_guard<std::mutex> lock(mu_);
     meta->epoch_pending = false;
     meta->writes_inflight = true;
     meta->epoch_durable_only = !resident;
     // Only tier-backed epochs count as *fallbacks*; with no DRAM tier
     // at all, every drain is durable by construction.
-    if (have_tier && !resident) ++stats_.durable_fallback_epochs;
-    reap_queue_.push_back(PendingWrites{meta, writes, std::move(pinned)});
-    // The epoch's own wall time (ordering wait + tail kernel + write
-    // submission); the reaper adds the store-drain wait separately.
-    stats_.background_seconds += SecondsSince(start);
+    if (deferred && have_tier && !resident) ++stats_.durable_fallback_epochs;
+    reap_queue_.push_back(
+        PendingWrites{meta, std::move(writes), std::move(pinned), deferred});
   }
   epoch_cv_.notify_all();
   reaper_cv_.notify_all();
 }
 
-Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
+Status AsyncUpdateEngine::StepTensorSync(TensorMeta* meta,
+                                         const std::string& name, int64_t step,
                                          int64_t n,
                                          const std::vector<Fp16>& grads16,
                                          float grad_unscale) {
@@ -427,21 +434,14 @@ Status AsyncUpdateEngine::StepTensorSync(const std::string& name, int64_t step,
 
   // Main -> SSD: write back P32 + OS32 + P16 (14 bytes/param),
   // zero-copy — each leased buffer is published once and shared by the
-  // DRAM tier and the store write. Waited here so the tensor's next
-  // fetch/step cannot overtake the writeback (P16 reads travel in the
-  // latency-critical class, which would pass these background writes in
-  // the scheduler).
-  const std::vector<TransferEngine::Ticket> writes = {
-      engine_->SubmitWrite(FlowClass::kGradState, P32Key(name),
-                           std::move(p32_out)),
-      engine_->SubmitWrite(FlowClass::kGradState, MomKey(name),
-                           std::move(m_out)),
-      engine_->SubmitWrite(FlowClass::kGradState, VarKey(name),
-                           std::move(v_out)),
-      engine_->SubmitWrite(FlowClass::kGradState, P16Key(name),
-                           std::move(p16)),
-  };
-  return engine_->WaitAll(writes);
+  // DRAM tier and the store write. Not waited here: the tickets go to
+  // the tensor's gate, so the handler's pipeline thread is free for the
+  // next tensor while the write channel drains this one. The tensor's
+  // next fetch/step/export drains first (durably without a DRAM tier),
+  // and the trainer ends each sync step with DrainAll.
+  WriteBack(meta, name, FlowClass::kGradState, std::move(p32_out),
+            std::move(m_out), std::move(v_out), std::move(p16));
+  return Status::Ok();
 }
 
 Result<int64_t> AsyncUpdateEngine::DrainedSize(const std::string& name,

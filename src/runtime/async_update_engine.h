@@ -21,15 +21,17 @@
 namespace ratel {
 
 /// Configuration of the asynchronous update pipeline. Defaults keep the
-/// optimizer in `sync` mode — bitwise identical to the classic blocking
-/// StepTensor — so the determinism suite and byte-accounting contracts
-/// hold unchanged unless a caller (or the environment) opts in.
+/// optimizer in `sync` mode — the full Adam update applied inline, with
+/// the same bytes and bitwise the same state as async mode — so the
+/// determinism suite and byte-accounting contracts hold unchanged unless
+/// a caller (or the environment) opts in.
 struct AsyncUpdateOptions {
   /// True enables the deferred-tail pipeline: StepTensor applies the
   /// hot (top-k gradient-magnitude) chunks synchronously and hands the
   /// tail to a background epoch whose writebacks travel as
   /// FlowClass::kDeferredState and overlap the next step's
-  /// forward/prefetch.
+  /// forward/prefetch. False ("sync") applies the whole update inline
+  /// and submits its kGradState writebacks behind the tensor's gate.
   bool async = false;
   /// Fraction of a tensor's chunks applied synchronously (at least one
   /// chunk is always hot). >= 1 disables deferral per tensor.
@@ -63,10 +65,23 @@ struct AsyncUpdateOptions {
 /// through main memory per tensor — SSD->Main, CPU compute, Main->SSD,
 /// the three handler steps of Fig. 3.
 ///
-/// Sync mode (default): StepTensor performs all three phases inline
-/// (the reads and writebacks each waited as one batch), leaving exactly
-/// the classic blocking behavior — bitwise identical results and
-/// identical per-flow traffic.
+/// One StepTensor contract for both modes: it returns once the update's
+/// writebacks are *submitted*, and every consumer of the tensor drains
+/// first (see the staleness bound below). The modes differ only in how
+/// much of the update runs before the return.
+///
+/// Sync mode (default): StepTensor reads the state (waited as one
+/// batch), applies the full update inline, and submits the four
+/// writebacks as FlowClass::kGradState. It does not wait for them: the
+/// tickets go to the tensor's gate and the reaper, exactly as a
+/// deferred epoch's do, so a pipeline thread moves on to the next
+/// tensor while the write channel drains this one — the overlapped
+/// SSD->Main / Main->SSD handler pipeline of Fig. 3b. Callers that need
+/// the classic one-tensor-at-a-time handler (Fig. 3a) follow StepTensor
+/// with DrainTensor; a training step ends with DrainAll. Reaper time
+/// spent on sync writebacks is not background work (it overlaps
+/// nothing the step does not wait for), so it stays out of
+/// Stats::background_seconds.
 ///
 /// Async mode: StepTensor batch-reads the state, splits the chunk grid
 /// by gradient magnitude (PartitionChunksByImportance), applies the hot
@@ -81,14 +96,14 @@ struct AsyncUpdateOptions {
 ///
 /// Staleness bound (<= 1 step): every consumer of a tensor — the next
 /// StepTensor, P16/master fetches, state export — first drains that
-/// tensor's pending epoch, so no fetch ever observes a half-applied
-/// update and no tensor falls more than one step behind. With a DRAM
-/// tier in front of the store the drain barrier is "published" (the
-/// epoch has admitted its buffers tier-wide; same-key reads are
-/// coherent immediately) — and the epoch *pins* its four written keys
-/// in the tier until the reaper resolves their store writes, so LRU
-/// pressure cannot evict a published-but-not-yet-durable blob out from
-/// under a post-drain read. When any pin cannot be taken (the entry was
+/// tensor's pending epoch or writebacks, so no fetch ever observes a
+/// half-applied update and no tensor falls more than one step behind.
+/// With a DRAM tier in front of the store the drain barrier is
+/// "published" (the epoch has admitted its buffers tier-wide; same-key
+/// reads are coherent immediately) — and the epoch *pins* its four
+/// written keys in the tier until the reaper resolves their store
+/// writes, so LRU pressure cannot evict a published-but-not-yet-durable
+/// blob out from under a post-drain read. When any pin cannot be taken (the entry was
 /// evicted before pinning, or the blob is larger than the tier and was
 /// never admitted), that epoch's barrier hardens to "durable" (store
 /// writes resolved); without a DRAM tier every barrier is durable. Both
@@ -139,10 +154,10 @@ class AsyncUpdateEngine {
   /// One active-gradient-offloading handler invocation: consumes fp16
   /// gradients for `name`, updates its out-of-core states, and leaves a
   /// fresh P16 blob behind the engine. `grad_unscale` undoes the
-  /// trainer's mixed-precision loss scaling. In async mode, returns
-  /// once the hot chunks are applied and the tail epoch is enqueued; a
-  /// deferred-write failure of the previous epoch surfaces here (or at
-  /// the next drain).
+  /// trainer's mixed-precision loss scaling. Returns once the
+  /// writebacks are submitted (sync mode) or the hot chunks are applied
+  /// and the tail epoch is enqueued (async mode); a write failure of the
+  /// tensor's previous update surfaces here (or at the next drain).
   Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16,
                     float grad_unscale = 1.0f);
 
@@ -180,14 +195,14 @@ class AsyncUpdateEngine {
                      const std::vector<float>& m,
                      const std::vector<float>& v);
 
-  /// Blocks until `name`'s pending deferred epoch (if any) is safe to
-  /// read behind — the per-tensor dependency gate the trainer's P16
-  /// prefetch uses so no fetch overlaps an in-flight tail update.
-  /// Returns the tensor's sticky deferred-write error, if any.
+  /// Blocks until `name`'s pending update (deferred epoch or sync
+  /// writebacks) is safe to read behind — the per-tensor dependency gate
+  /// the trainer's P16 prefetch uses so no fetch overlaps an in-flight
+  /// update. Returns the tensor's sticky write error, if any.
   Status DrainTensor(const std::string& name) const;
 
-  /// Blocks until every tensor's deferred epoch fully resolved (store
-  /// writes included) — the checkpoint / shutdown barrier.
+  /// Blocks until every tensor's update fully resolved (store writes
+  /// included) — the sync step-end, checkpoint and shutdown barrier.
   Status DrainAll() const;
 
   TransferEngine& engine() const { return *engine_; }
@@ -211,7 +226,7 @@ class AsyncUpdateEngine {
     /// tier: a post-drain read might miss and hit the store, where only
     /// resolved writes are ordered.
     bool epoch_durable_only = false;
-    /// First deferred-write failure, surfaced at the next drain/step.
+    /// First writeback failure, surfaced at the next drain/step.
     Status epoch_status;
   };
 
@@ -241,9 +256,10 @@ class AsyncUpdateEngine {
   std::string VarKey(const std::string& name) const;
   std::string P16Key(const std::string& name) const;
 
-  /// The classic blocking step (sync mode), reads and writes each
-  /// waited as one batch.
-  Status StepTensorSync(const std::string& name, int64_t step, int64_t n,
+  /// The full inline step (sync mode): reads waited as one batch,
+  /// writebacks handed to WriteBack.
+  Status StepTensorSync(TensorMeta* meta, const std::string& name,
+                        int64_t step, int64_t n,
                         const std::vector<Fp16>& grads16, float grad_unscale);
 
   /// The body of one deferred epoch (runs on the background pool).
@@ -252,14 +268,25 @@ class AsyncUpdateEngine {
                 Buffer p32_in, Buffer m_in, Buffer v_in, Buffer p32_out,
                 Buffer m_out, Buffer v_out, Buffer p16, float grad_unscale);
 
-  /// One epoch's submitted store writebacks, awaiting resolution on the
-  /// reaper thread.
+  /// Submits `name`'s four blobs as `flow` writes and publishes them:
+  /// pins them in the DRAM tier when one exists (else the tensor's
+  /// barrier is durable), clears epoch_pending, sets writes_inflight and
+  /// hands the tickets to the reaper. Waits out the tensor's previous
+  /// writebacks first, so same-key store writes never reorder.
+  void WriteBack(TensorMeta* meta, const std::string& name, FlowClass flow,
+                 Buffer p32, Buffer m, Buffer v, Buffer p16);
+
+  /// One update's submitted store writebacks, awaiting resolution on
+  /// the reaper thread.
   struct PendingWrites {
     TensorMeta* meta = nullptr;
     std::vector<TransferEngine::Ticket> tickets;
-    /// DRAM-tier keys the epoch pinned at publish; unpinned once the
-    /// tickets resolve (the store is durable, reads may miss safely).
+    /// DRAM-tier keys pinned at publish; unpinned once the tickets
+    /// resolve (the store is durable, reads may miss safely).
     std::vector<std::string> pinned_keys;
+    /// A deferred epoch's writebacks (counted as background work), not
+    /// a sync step's.
+    bool deferred = false;
   };
 
   /// Resolves queued write-sets in submission (FIFO) order, releasing
@@ -274,8 +301,8 @@ class AsyncUpdateEngine {
   mutable std::condition_variable epoch_cv_;
   std::unordered_map<std::string, TensorMeta> meta_;
   mutable Stats stats_;
-  /// FIFO of write-sets the reaper resolves. An epoch hands its tickets
-  /// off here and frees its worker immediately — the throttled store
+  /// FIFO of write-sets the reaper resolves. An update hands its tickets
+  /// off here and frees its thread immediately — the throttled store
   /// drain never holds a background thread, so queued epochs publish at
   /// compute speed even when the write channel is backlogged.
   std::deque<PendingWrites> reap_queue_;

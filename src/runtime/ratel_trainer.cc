@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <mutex>
 
 #include "common/logging.h"
@@ -158,6 +159,23 @@ void RatelTrainer::InstallPlan(const ActivationPlan& plan,
   schedule_ = std::move(next);
 }
 
+void RatelTrainer::ReserveOptimizerStaging() {
+  BufferPool& pool = engine_->buffer_pool();
+  std::vector<int64_t> writes;
+  std::map<int64_t, int64_t> tensors_per_read_class;
+  for (const auto& [name, var] : model_->parameters()) {
+    const int64_t n = static_cast<int64_t>(var.value().size());
+    writes.insert(writes.end(), {4 * n, 4 * n, 4 * n, 2 * n});
+    if (n > 0) ++tensors_per_read_class[pool.SizeClassFor(4 * n)];
+  }
+  const int64_t threads = std::max(1, options_.pipeline_threads);
+  std::vector<int64_t> reads;
+  for (const auto& [size_class, tensors] : tensors_per_read_class) {
+    reads.insert(reads.end(), 3 * std::min(threads, tensors), size_class);
+  }
+  engine_->ReserveStaging(FlowClass::kGradState, writes, reads);
+}
+
 std::vector<std::string> RatelTrainer::ArrivalOrder() const {
   std::vector<std::string> order;
   order.push_back("final/ln_g");
@@ -185,6 +203,11 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     const int accum0 = std::max(1, options_.grad_accumulation_steps);
     if (batch % accum0 == 0) MaybeInitReplanner(batch / accum0);
   }
+  // The first sync step reserves the staging its overlapped legs can
+  // peak at, so later steps never grow the pool when timing lines a new
+  // peak up. (Async mode keeps its epoch-driven pool growth.)
+  const bool reserve_staging = !adam_->async() && !staging_reserved_;
+  staging_reserved_ = true;
   StepStats stats;
   const TransferStats xfer0 = engine_->stats();
   const AsyncUpdateEngine::Stats update0 = adam_->stats();
@@ -193,12 +216,13 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   // --- Swap in the current P16 copies (the forward-stage M->G fetch),
   // prefetched a few tensors ahead through the engine so the
   // latency-critical reads overlap the fp16 -> fp32 conversion (the
-  // M->G / compute pipeline of Section IV-A). In async-optimizer mode
-  // each request carries a per-tensor dependency gate: the fetch of a
-  // P16 whose tail update is still in flight drains that one tensor's
-  // epoch first (staleness bound <= 1 step), while fetches of already-
-  // drained tensors stream ahead — the previous step's deferred
-  // writebacks overlap this step's fetch/forward. ---
+  // M->G / compute pipeline of Section IV-A). Each request carries a
+  // per-tensor dependency gate: the fetch of a P16 whose update is
+  // still in flight drains that one tensor first (staleness bound <= 1
+  // step), while fetches of already-drained tensors stream ahead — in
+  // async-optimizer mode the previous step's deferred writebacks
+  // overlap this step's fetch/forward. (A sync step ends fully drained,
+  // so its gates pass at once.) ---
   {
     std::vector<Prefetcher::Request> requests;
     requests.reserve(model_->parameters().size());
@@ -206,9 +230,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
       Prefetcher::Request req;
       req.key = adam_->Params16Key(name);
       req.size = 2 * static_cast<int64_t>(var.value().size());
-      if (adam_->async()) {
-        req.gate = [this, name = name] { return adam_->DrainTensor(name); };
-      }
+      req.gate = [this, name = name] { return adam_->DrainTensor(name); };
       requests.push_back(std::move(req));
     }
     Prefetcher prefetcher(engine_, FlowClass::kParamFetch,
@@ -247,10 +269,12 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
 
     if (options_.spill_activations) {
       // Swap the saved activations out through the engine after
-      // forward, then back in before backward (A16 of Table II). The
-      // swap-outs are submitted asynchronously and waited as a group
-      // before read-back (the engine orders only resolved writes).
-      // Values round-trip bit-exactly, so numerics are unchanged
+      // forward, then back in before backward (A16 of Table II). All
+      // swap-outs are submitted at once; each read-back chases its own
+      // write — submitted the moment that write resolves (the engine
+      // orders only resolved writes) — so the read channel drains
+      // early activations while the write channel still carries later
+      // ones. Values round-trip bit-exactly, so numerics are unchanged
       // (tested).
       std::vector<ag::NodePtr> acts = ag::CollectIntermediateNodes(loss);
       // The plan's spill set. On the classic path (spill_fraction >= 1,
@@ -285,6 +309,15 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
         }
         std::sort(spill_set.begin(), spill_set.end());
       }
+      if (reserve_staging && step == 0) {
+        // Read k is leased only after write k resolved, so a spilled
+        // node holds one frame at a time: the read misses bound the
+        // whole swap.
+        std::vector<int64_t> sizes;
+        sizes.reserve(spill_set.size());
+        for (size_t i : spill_set) sizes.push_back(4 * acts[i]->NumElements());
+        engine_->ReserveStaging(FlowClass::kActivationSpill, {}, sizes);
+      }
       int64_t spilled = 0;
       std::vector<TransferEngine::Ticket> spill_writes;
       spill_writes.reserve(spill_set.size());
@@ -303,30 +336,31 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
             std::move(staged)));
         spilled += bytes;
       }
+      // Waits write k in spill-set order, then frees that node's value
+      // ("GPU memory") and submits read k at once. After a failed write
+      // no further read is submitted; every submitted ticket is still
+      // waited, since reads target `buffers` (a deque: stable
+      // addresses).
       Status first_spill_error;
-      for (TransferEngine::Ticket t : spill_writes) {
-        Status s = engine_->Wait(t);
-        if (!s.ok() && first_spill_error.ok()) first_spill_error = s;
-      }
-      RATEL_RETURN_IF_ERROR(first_spill_error);
-      // All swap-outs durable: release the "GPU memory".
-      for (size_t i : spill_set) std::vector<float>().swap(acts[i]->value);
-
-      // Swap back in: all reads in flight at once, drained in order.
-      // Buffer reads: DRAM-hot activations come back as cache refs and
-      // cold ones land in pooled staging — no per-step heap churn.
       std::deque<Buffer> buffers;
       std::vector<TransferEngine::Ticket> spill_reads;
       spill_reads.reserve(spill_set.size());
-      for (size_t i : spill_set) {
+      for (size_t k = 0; k < spill_set.size(); ++k) {
+        Status s = engine_->Wait(spill_writes[k]);
+        if (!s.ok() && first_spill_error.ok()) first_spill_error = s;
+        if (!first_spill_error.ok()) continue;
+        ag::Node& node = *acts[spill_set[k]];
+        std::vector<float>().swap(node.value);
+        // DRAM-hot activations come back as cache refs and cold ones
+        // land in pooled staging — no per-step heap churn.
         buffers.emplace_back();
         spill_reads.push_back(engine_->SubmitRead(
             FlowClass::kActivationSpill,
-            options_.key_namespace + "act/" + std::to_string(i),
-            &buffers.back(), 4 * acts[i]->NumElements()));
+            options_.key_namespace + "act/" + std::to_string(spill_set[k]),
+            &buffers.back(), 4 * node.NumElements()));
       }
-      for (size_t k = 0; k < spill_reads.size(); ++k) {
-        Status s = engine_->Wait(spill_reads[k]);
+      for (TransferEngine::Ticket t : spill_reads) {
+        Status s = engine_->Wait(t);
         if (!s.ok() && first_spill_error.ok()) first_spill_error = s;
       }
       RATEL_RETURN_IF_ERROR(first_spill_error);
@@ -350,11 +384,19 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   std::mutex err_mu;
   Status first_error;
   const float grad_unscale = 1.0f / options_.loss_scale;
+  // The Fig. 3a ablations run one whole handler at a time: in sync mode
+  // StepTensor returns with its writebacks still in flight, so these
+  // modes drain the tensor before the next gradient is taken.
+  const bool one_at_a_time =
+      !adam_->async() &&
+      (options_.grad_mode == GradientOffloadMode::kNaiveActive ||
+       options_.grad_mode == GradientOffloadMode::kSerializedOptimizer);
   auto handler = [&](const std::string& name, std::vector<Fp16> grads) {
     // Handlers run on the pipeline pool, outside the step thread's
     // tenant scope — re-establish it per invocation.
     ScopedTenant handler_scope(options_.tenant);
-    const Status s = adam_->StepTensor(name, grads, grad_unscale);
+    Status s = adam_->StepTensor(name, grads, grad_unscale);
+    if (s.ok() && one_at_a_time) s = adam_->DrainTensor(name);
     if (!s.ok()) {
       std::lock_guard<std::mutex> lock(err_mu);
       if (first_error.ok()) first_error = s;
@@ -364,6 +406,8 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   // Deferred work for the serialized-pipelined mode (all handlers run
   // concurrently, but only after "backward" fully finished).
   std::vector<std::pair<std::string, std::vector<Fp16>>> deferred;
+
+  if (reserve_staging) ReserveOptimizerStaging();
 
   // Scope this step's handler tasks: the group's Wait covers exactly
   // the tasks submitted through it, independent of anything else that
@@ -426,6 +470,10 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   }
   group.Wait();
   RATEL_RETURN_IF_ERROR(first_error);
+  // A sync step ends durable: every writeback it submitted resolves
+  // here, so no I/O of the step is still in flight at the schedule swap
+  // point or in StepStats below.
+  if (!adam_->async()) RATEL_RETURN_IF_ERROR(adam_->DrainAll());
   const double t_opt = NowSeconds();
 
   stats.fetch_s = t_fetch - t0;
@@ -456,9 +504,10 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
       stats.xfer.Flow(FlowClass::kGradState).bytes_written;
   stats.loss = mean_loss;
   // --- Step boundary: every read/write this step issued has been
-  // waited above, so swapping the schedule here can never invalidate
-  // in-flight I/O; deferred optimizer epochs keep draining through
-  // their per-tensor gates because the plan never touches their keys. ---
+  // waited above (sync writebacks by DrainAll), so swapping the schedule
+  // here can never invalidate in-flight I/O; deferred optimizer epochs
+  // keep draining through their per-tensor gates because the plan never
+  // touches their keys. ---
   if (replanner_ != nullptr) {
     const double swap0 = NowSeconds();
     std::optional<ReplanResult> result =

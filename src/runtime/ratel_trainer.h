@@ -32,7 +32,8 @@ struct TrainerOptions {
   double ssd_write_bandwidth = 0.0;
   /// Worker threads of the optimized offload pipeline.
   int pipeline_threads = 3;
-  /// Worker threads of the transfer engine's I/O scheduler.
+  /// Worker threads of the transfer engine's I/O scheduler, per
+  /// direction (reads and writes each get this many).
   int io_workers = 2;
   /// Starvation bound of the engine's background class: a queued state
   /// writeback is promoted after this many latency-critical requests
@@ -63,9 +64,10 @@ struct TrainerOptions {
   /// (top-k gradient-magnitude) chunks apply on the step's critical
   /// path, the tail defers to background epochs whose kDeferredState
   /// writebacks overlap the next step's forward/prefetch. False (the
-  /// default) keeps the classic blocking optimizer — bitwise identical
-  /// to pre-pipeline behavior. Both are overlaid with RATEL_ASYNC_OPTIM
-  /// / RATEL_ASYNC_HOT_FRACTION at Create.
+  /// default) applies each whole update in its handler and waits every
+  /// writeback out at the end of the step — bitwise the same state.
+  /// Both are overlaid with RATEL_ASYNC_OPTIM / RATEL_ASYNC_HOT_FRACTION
+  /// at Create.
   bool async_optimizer = false;
   /// Fraction of each tensor's chunks applied synchronously in async
   /// mode (the top-k knob; at least one chunk is always hot).
@@ -133,10 +135,12 @@ struct StepStats {
   double compute_s = 0.0;     // forward + backward autograd
   double optimizer_s = 0.0;   // time until the last handler drained
   /// Deferred-update breakdown (async optimizer mode; all zero in sync
-  /// mode). Overlap is background-epoch wall time that did *not* stall
-  /// the foreground — optimizer work moved off the critical path.
+  /// mode, except that the sync Fig. 3a modes count their handlers'
+  /// waits on their own writebacks as drain stall). Overlap is
+  /// background-epoch wall time that did *not* stall the foreground —
+  /// optimizer work moved off the critical path.
   double optimizer_overlap_s = 0.0;
-  double drain_stall_s = 0.0;  // foreground blocked on pending epochs
+  double drain_stall_s = 0.0;  // foreground blocked on pending updates
   int64_t hot_chunks = 0;      // chunks applied on the critical path
   int64_t tail_chunks = 0;     // chunks deferred to background epochs
   int64_t deferred_epochs = 0;
@@ -264,6 +268,12 @@ class RatelTrainer {
   void InstallPlan(const ActivationPlan& plan, const KnapsackPlan& recompute,
                    const HardwareProfile& profile, int64_t version);
 
+  /// Reserves the staging of a sync optimizer stage whose in-flight peak
+  /// depends on timing: every tensor's four writebacks outstanding at
+  /// the step-end barrier, plus the state reads of as many tensors as
+  /// there are pipeline threads.
+  void ReserveOptimizerStaging();
+
   ag::TinyGpt* model_;  // not owned
   TrainerOptions options_;
   /// Engine opened by this trainer; null when attached to a shared one.
@@ -277,6 +287,8 @@ class RatelTrainer {
   ActiveSchedule schedule_;
   double nameplate_bw_s2m_ = 0.0;  // depth scaling reference
   int64_t replans_installed_ = 0;
+  /// The first sync step reserved its timing-dependent staging peaks.
+  bool staging_reserved_ = false;
   std::unique_ptr<ThreadPool> pipeline_;  // declared last: joins first
   int64_t global_step_ = 0;
   StepStats last_stats_;

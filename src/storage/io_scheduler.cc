@@ -61,14 +61,15 @@ IoScheduler::IoScheduler(BlockStore* store, int workers)
 IoScheduler::IoScheduler(BlockStore* store, int workers, const Tuning& tuning)
     : store_(store),
       tuning_(tuning),
-      critical_(tuning.fair_quantum_bytes, tuning.fair_share),
-      normal_(tuning.fair_quantum_bytes, tuning.fair_share),
-      background_(tuning.fair_quantum_bytes, tuning.fair_share) {
+      reads_(tuning.fair_quantum_bytes, tuning.fair_share),
+      writes_(tuning.fair_quantum_bytes, tuning.fair_share) {
   RATEL_CHECK(store != nullptr);
   RATEL_CHECK(workers > 0);
-  workers_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  workers_.reserve(2 * workers);
+  for (Lane* lane : {&reads_, &writes_}) {
+    for (int i = 0; i < workers; ++i) {
+      workers_.emplace_back([this, lane] { WorkerLoop(lane); });
+    }
   }
 }
 
@@ -78,12 +79,14 @@ IoScheduler::~IoScheduler() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  work_ready_.notify_all();
+  reads_.work_ready.notify_all();
+  writes_.work_ready.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 IoScheduler::Ticket IoScheduler::Enqueue(Request req) {
   Ticket ticket;
+  Lane& lane = LaneFor(req.is_write);
   {
     std::lock_guard<std::mutex> lock(mu_);
     RATEL_CHECK(!shutdown_);
@@ -94,27 +97,29 @@ IoScheduler::Ticket IoScheduler::Enqueue(Request req) {
     const int64_t size = req.size;
     switch (req.priority) {
       case Priority::kLatencyCritical:
-        critical_.Push(tenant, size, std::move(req));
+        lane.critical.Push(tenant, size, std::move(req));
         break;
       case Priority::kNormal:
-        req.higher_at_enqueue = served_critical_;
-        normal_.Push(tenant, size, std::move(req));
+        req.higher_at_enqueue = lane.served_critical;
+        lane.normal.Push(tenant, size, std::move(req));
         break;
       case Priority::kBackground:
-        req.higher_at_enqueue = served_critical_ + served_normal_;
-        background_.Push(tenant, size, std::move(req));
+        req.higher_at_enqueue = lane.served_critical + lane.served_normal;
+        lane.background.Push(tenant, size, std::move(req));
         break;
     }
   }
-  work_ready_.notify_one();
+  lane.work_ready.notify_one();
   return ticket;
 }
 
 void IoScheduler::SetTenantWeight(int tenant, int weight) {
   std::lock_guard<std::mutex> lock(mu_);
-  critical_.SetWeight(tenant, weight);
-  normal_.SetWeight(tenant, weight);
-  background_.SetWeight(tenant, weight);
+  for (Lane* lane : {&reads_, &writes_}) {
+    lane->critical.SetWeight(tenant, weight);
+    lane->normal.SetWeight(tenant, weight);
+    lane->background.SetWeight(tenant, weight);
+  }
 }
 
 IoScheduler::Ticket IoScheduler::SubmitWrite(const std::string& key,
@@ -207,46 +212,45 @@ IoResult IoScheduler::Execute(Request& req) {
   }
 }
 
-void IoScheduler::WorkerLoop() {
+IoScheduler::Request IoScheduler::PopLocked(Lane& lane) {
+  // Priority with aging: critical > normal > background, but a queued
+  // request that waited through `background_aging_limit` higher-class
+  // completions of its lane is served next regardless of class (the age
+  // of a class is its oldest request's, across every tenant lane). The
+  // most-starved class is checked first. The normal pick inside the
+  // chosen class is DWRR among tenants; the aging pick serves the aged
+  // (oldest) request itself.
+  const int aging = tuning_.background_aging_limit;
+  if (aging > 0 && !lane.background.empty() &&
+      lane.served_critical + lane.served_normal -
+              lane.background.OldestFront().higher_at_enqueue >=
+          aging) {
+    if (!lane.critical.empty() || !lane.normal.empty()) {
+      ++lane.promoted_background;
+    }
+    return lane.background.PopOldest();
+  }
+  if (aging > 0 && !lane.normal.empty() &&
+      lane.served_critical - lane.normal.OldestFront().higher_at_enqueue >=
+          aging) {
+    if (!lane.critical.empty()) ++lane.promoted_normal;
+    return lane.normal.PopOldest();
+  }
+  if (!lane.critical.empty()) return lane.critical.PopNext();
+  if (!lane.normal.empty()) return lane.normal.PopNext();
+  return lane.background.PopNext();
+}
+
+void IoScheduler::WorkerLoop(Lane* lane) {
   for (;;) {
     Request req;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [this] {
-        return shutdown_ || !critical_.empty() || !normal_.empty() ||
-               !background_.empty();
-      });
-      if (critical_.empty() && normal_.empty() && background_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      // Priority with aging: critical > normal > background, but a
-      // queued request that waited through `background_aging_limit`
-      // higher-class completions is served next regardless of class
-      // (the age of a class is its oldest request's, across every
-      // tenant lane). The most-starved class is checked first. The
-      // normal pick inside the chosen class is DWRR among tenants;
-      // the aging pick serves the aged (oldest) request itself.
-      const int aging = tuning_.background_aging_limit;
-      if (aging > 0 && !background_.empty() &&
-          served_critical_ + served_normal_ -
-                  background_.OldestFront().higher_at_enqueue >=
-              aging) {
-        if (!critical_.empty() || !normal_.empty()) ++promoted_background_;
-        req = background_.PopOldest();
-      } else if (aging > 0 && !normal_.empty() &&
-                 served_critical_ - normal_.OldestFront().higher_at_enqueue >=
-                     aging) {
-        if (!critical_.empty()) ++promoted_normal_;
-        req = normal_.PopOldest();
-      } else if (!critical_.empty()) {
-        req = critical_.PopNext();
-      } else if (!normal_.empty()) {
-        req = normal_.PopNext();
-      } else {
-        req = background_.PopNext();
-      }
-      ++in_flight_;
+      lane->work_ready.wait(lock,
+                            [&] { return shutdown_ || lane->queued(); });
+      if (!lane->queued()) return;  // shutdown, nothing left to serve
+      req = PopLocked(*lane);
+      ++lane->in_flight;
     }
 
     const IoResult result = Execute(req);
@@ -269,19 +273,19 @@ void IoScheduler::WorkerLoop() {
       }
       switch (req.priority) {
         case Priority::kLatencyCritical:
-          ++served_critical_;
+          ++lane->served_critical;
           break;
         case Priority::kNormal:
-          ++served_normal_;
+          ++lane->served_normal;
           break;
         case Priority::kBackground:
-          ++served_background_;
+          ++lane->served_background;
           break;
       }
       total_retries_ += result.attempts - 1;
       if (result.gave_up) ++total_giveups_;
       tenant_served_bytes_[req.tenant_tag] += req.size;
-      --in_flight_;
+      --lane->in_flight;
     }
     ticket_done_.notify_all();
   }
@@ -305,35 +309,35 @@ Status IoScheduler::Wait(Ticket ticket) {
 Status IoScheduler::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   ticket_done_.wait(lock, [this] {
-    return critical_.empty() && normal_.empty() && background_.empty() &&
-           in_flight_ == 0;
+    return !reads_.queued() && !writes_.queued() && reads_.in_flight == 0 &&
+           writes_.in_flight == 0;
   });
   return first_error_;
 }
 
 int64_t IoScheduler::completed_latency_critical() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return served_critical_;
+  return reads_.served_critical + writes_.served_critical;
 }
 
 int64_t IoScheduler::completed_normal() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return served_normal_;
+  return reads_.served_normal + writes_.served_normal;
 }
 
 int64_t IoScheduler::completed_background() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return served_background_;
+  return reads_.served_background + writes_.served_background;
 }
 
 int64_t IoScheduler::promoted_background() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return promoted_background_;
+  return reads_.promoted_background + writes_.promoted_background;
 }
 
 int64_t IoScheduler::promoted_normal() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return promoted_normal_;
+  return reads_.promoted_normal + writes_.promoted_normal;
 }
 
 int64_t IoScheduler::total_retries() const {

@@ -95,6 +95,18 @@ struct IoResult {
 /// chose, and with a single tenant (or fair_share off) every class
 /// degenerates to the original FIFO.
 ///
+/// Reads and writes travel in separate *lanes*, one per store direction.
+/// Each lane keeps the full ladder above — its own three classes, its
+/// own aging counters and tenant lanes — and its own `workers` threads.
+/// A worker sleeps inside its channel's throttle while it serves a
+/// request, so with shared workers a burst of writes could park every
+/// thread and leave the idle read channel unserved; per-direction lanes
+/// let one step drive both directions of the device at once (the
+/// duplex SSD->Main / Main->SSD overlap of Ratel's optimized handler
+/// pipeline). Aging counts completions within the request's own lane:
+/// a read never ages past a write, nor the other way round. The
+/// per-class counters below sum both lanes.
+///
 /// Requests complete asynchronously; the caller either waits for an
 /// individual ticket or drains the whole queue. An optional completion
 /// callback runs on the worker thread after the store operation and
@@ -144,7 +156,8 @@ class IoScheduler {
     int64_t fair_quantum_bytes = 64 * 1024;
   };
 
-  /// `workers` I/O threads over `store` (not owned, must outlive this).
+  /// `workers` I/O threads *per direction* (2 * workers in total) over
+  /// `store` (not owned, must outlive this).
   explicit IoScheduler(BlockStore* store, int workers = 2);
   IoScheduler(BlockStore* store, int workers, const Tuning& tuning);
 
@@ -189,7 +202,8 @@ class IoScheduler {
   /// error encountered (if any).
   Status Drain();
 
-  /// Requests served so far, per class (for tests/diagnostics).
+  /// Requests served so far, per class, summed over both directions
+  /// (for tests/diagnostics); likewise the promotion counters.
   int64_t completed_latency_critical() const;
   int64_t completed_normal() const;
   int64_t completed_background() const;
@@ -219,41 +233,59 @@ class IoScheduler {
     FinalizeFn finalize;            // reads only; may fail the attempt
     int flow_tag = -1;
     int tenant_tag = 0;
-    // Completions of strictly-higher classes at enqueue time (critical
-    // for normal requests; critical + normal for background ones); age
-    // = higher-class completions since then.
+    // Completions of strictly-higher classes of the request's lane at
+    // enqueue time (critical for normal requests; critical + normal for
+    // background ones); age = higher-class completions since then.
     int64_t higher_at_enqueue = 0;
   };
 
-  void WorkerLoop();
+  /// One store direction: the class ladder (per-tenant DWRR queues
+  /// under each class), its aging counters, and the workers serving it.
+  struct Lane {
+    Lane(int64_t quantum_bytes, bool fair_share)
+        : critical(quantum_bytes, fair_share),
+          normal(quantum_bytes, fair_share),
+          background(quantum_bytes, fair_share) {}
+    bool queued() const {
+      return !critical.empty() || !normal.empty() || !background.empty();
+    }
+
+    FairQueue<Request> critical;
+    FairQueue<Request> normal;
+    FairQueue<Request> background;
+    std::condition_variable work_ready;
+    int64_t served_critical = 0;
+    int64_t served_normal = 0;
+    int64_t served_background = 0;
+    int64_t promoted_background = 0;
+    int64_t promoted_normal = 0;
+    int in_flight = 0;
+  };
+
+  void WorkerLoop(Lane* lane);
+  /// Pops the lane's next request by class and age. Caller holds mu_;
+  /// the lane has queued work.
+  Request PopLocked(Lane& lane);
   /// One attempt-with-retries execution of `req` (runs on a worker, no
   /// lock held).
   IoResult Execute(Request& req);
   Ticket Enqueue(Request req);
+  Lane& LaneFor(bool is_write) { return is_write ? writes_ : reads_; }
 
   BlockStore* store_;
   Tuning tuning_;
-  mutable std::mutex mu_;
-  std::condition_variable work_ready_;
+  mutable std::mutex mu_;  // guards both lanes and the ticket state
   std::condition_variable ticket_done_;
-  // Per-class queues: per-tenant DWRR lanes under the class ladder.
-  FairQueue<Request> critical_;
-  FairQueue<Request> normal_;
-  FairQueue<Request> background_;
+  Lane reads_;
+  Lane writes_;
   Ticket next_ticket_ = 1;
   // Issued and not yet waited on — membership legitimizes a Wait.
   std::unordered_set<Ticket> outstanding_;
   std::unordered_map<Ticket, Status> done_;
   Status first_error_;
-  int64_t served_critical_ = 0;
-  int64_t served_normal_ = 0;
-  int64_t served_background_ = 0;
-  int64_t promoted_background_ = 0;
-  int64_t promoted_normal_ = 0;
   int64_t total_retries_ = 0;
   int64_t total_giveups_ = 0;
   std::unordered_map<int, int64_t> tenant_served_bytes_;
-  int in_flight_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

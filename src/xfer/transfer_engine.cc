@@ -487,6 +487,26 @@ Result<Buffer> TransferEngine::ReadBuffer(FlowClass flow,
   return out;
 }
 
+void TransferEngine::ReserveStaging(FlowClass flow,
+                                    const std::vector<int64_t>& write_sizes,
+                                    const std::vector<int64_t>& read_sizes) {
+  const Codec* codec = codecs_.ForFlow(flow);
+  std::map<int64_t, int64_t> blocks;  // size class -> concurrent leases
+  auto add = [&](int64_t bytes) {
+    if (bytes > 0) ++blocks[pool_.SizeClassFor(bytes)];
+  };
+  for (int64_t size : write_sizes) {
+    add(codec != nullptr ? FrameSizeFor(*codec, size) : size);
+  }
+  for (int64_t size : read_sizes) {
+    add(size);
+    if (codec != nullptr) add(FrameSizeFor(*codec, size));
+  }
+  for (const auto& [size_class, count] : blocks) {
+    pool_.Reserve(size_class, count);
+  }
+}
+
 Status TransferEngine::Delete(const std::string& key) {
   if (cache_ != nullptr) cache_->Invalidate(key);
   return store_->Delete(key);

@@ -121,7 +121,9 @@ struct TransferOptions {
   int64_t chunk_bytes = 1 << 20;
   /// DRAM tier capacity in front of the store; 0 disables caching.
   int64_t host_cache_bytes = 0;
-  /// Worker threads of the I/O scheduler.
+  /// Worker threads of the I/O scheduler *per direction*: reads and
+  /// writes each get this many (see IoScheduler), so the engine runs
+  /// 2 * io_workers I/O threads.
   int io_workers = 2;
   /// Background aging limit forwarded to the scheduler (starvation
   /// bound for state writebacks under sustained fetch load).
@@ -295,6 +297,15 @@ class TransferEngine {
   /// buffers here so steady-state training performs zero heap
   /// allocations between host and the store.
   BufferPool& buffer_pool() { return pool_; }
+
+  /// Reserves (BufferPool::Reserve) the staging that store writes of
+  /// `write_sizes` and store read misses of `read_sizes` on `flow` —
+  /// logical bytes each — need when all of them are in flight at once:
+  /// the caller's write payloads or, on a codec'd flow, the encoded
+  /// frames; each miss's destination plus, on a codec'd flow, its frame.
+  /// Call at a quiet point, with none of these leases outstanding.
+  void ReserveStaging(FlowClass flow, const std::vector<int64_t>& write_sizes,
+                      const std::vector<int64_t>& read_sizes);
 
   /// The active fault injector (owned or external); null when the
   /// failure model is disabled.

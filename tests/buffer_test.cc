@@ -104,6 +104,28 @@ TEST(BufferPoolTest, SteadyStateLoopMakesZeroAllocationsAfterWarmup) {
       << "steady-state leases must all be pool hits";
 }
 
+TEST(BufferPoolTest, ReserveMakesAPeakOfConcurrentLeasesAllocationFree) {
+  BufferPool pool;
+  pool.Reserve(1000, 3);  // three blocks of the 1024 class, up front
+  EXPECT_EQ(pool.stats().allocations, 3);
+  EXPECT_EQ(pool.stats().pooled_bytes, 3 * 1024);
+  {
+    Buffer a = pool.Lease(1000);
+    Buffer b = pool.Lease(700);
+    Buffer c = pool.Lease(1024);
+    EXPECT_EQ(pool.stats().allocations, 3);
+    EXPECT_EQ(pool.stats().reuses, 3);
+  }
+  // Already satisfied: reserving again (or less) allocates nothing.
+  pool.Reserve(1000, 3);
+  pool.Reserve(600, 2);
+  EXPECT_EQ(pool.stats().allocations, 3);
+  // A larger peak tops the free list up by the difference only.
+  pool.Reserve(1000, 5);
+  EXPECT_EQ(pool.stats().allocations, 5);
+  EXPECT_EQ(pool.stats().pooled_bytes, 5 * 1024);
+}
+
 TEST(BufferPoolTest, StatsTrackOutstandingAndPooledBytes) {
   BufferPool pool;
   Buffer a = pool.Lease(300);  // class 512

@@ -62,26 +62,51 @@ TEST(IoSchedulerTest, DrainWaitsForEverything) {
 // later submission is queued while the worker is provably busy; the
 // recorded completion order is then the exact (deterministic) service
 // order. No wall-clock sleeps, no completion-callback gating.
+//
+// Each direction has its own lane, so the harness parks one lane's
+// workers: the write lane by default, the read lane with `reads` — its
+// tagged requests are then reads of keys written (and waited) through
+// the still-free write lane first.
 class StarvationHarness {
  public:
   explicit StarvationHarness(const std::string& tag, int workers = 1,
-                             IoScheduler::Tuning tuning = {}) {
+                             IoScheduler::Tuning tuning = {},
+                             bool reads = false)
+      : reads_(reads) {
     auto store_or = BlockStore::Open(TempDir(tag), 2, 4096,
                                      BlockStore::Tuning{&injector_, 3});
     EXPECT_TRUE(store_or.ok());
     store_ = std::move(store_or).value();
     sched_ = std::make_unique<IoScheduler>(store_.get(), workers, tuning);
+    if (reads_) {
+      EXPECT_TRUE(sched_->Wait(sched_->SubmitWrite(
+                      "gate", byte_, IoScheduler::Priority::kBackground))
+                      .ok());
+    }
     injector_.StallOpsOn("gate");
-    sched_->SubmitWrite("gate", byte_, IoScheduler::Priority::kLatencyCritical);
+    if (reads_) {
+      sched_->SubmitRead("gate", Buffer::Allocate(1),
+                         IoScheduler::Priority::kLatencyCritical);
+    } else {
+      sched_->SubmitWrite("gate", byte_,
+                          IoScheduler::Priority::kLatencyCritical);
+    }
     injector_.WaitForStalled(1);  // the worker is now held busy
   }
 
   void SubmitTagged(const std::string& key, IoScheduler::Priority priority) {
-    sched_->SubmitWrite(key, byte_, priority,
-                        [this, key](const IoResult&) {
-                          std::lock_guard<std::mutex> lock(mu_);
-                          order_.push_back(key);
-                        });
+    auto record = [this, key](const IoResult&) {
+      std::lock_guard<std::mutex> lock(mu_);
+      order_.push_back(key);
+    };
+    if (!reads_) {
+      sched_->SubmitWrite(key, byte_, priority, record);
+      return;
+    }
+    EXPECT_TRUE(sched_->Wait(sched_->SubmitWrite(
+                    key, byte_, IoScheduler::Priority::kBackground))
+                    .ok());
+    sched_->SubmitRead(key, Buffer::Allocate(1), priority, record);
   }
 
   void ReleaseGate() { injector_.ReleaseStalled(); }
@@ -94,6 +119,7 @@ class StarvationHarness {
   IoScheduler& sched() { return *sched_; }
 
  private:
+  const bool reads_;
   FaultInjector injector_{FaultConfig{}};
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<IoScheduler> sched_;
@@ -247,6 +273,114 @@ TEST(IoSchedulerTest, StrictPriorityStarvesBackgroundRegression) {
   ASSERT_EQ(order.size(), 33u);
   // Without aging the background request is served dead last.
   EXPECT_EQ(order.back(), "bg");
+  EXPECT_EQ(harness.sched().promoted_background(), 0);
+}
+
+TEST(IoSchedulerTest, ParkedWriteWorkersNeverDelayARead) {
+  // Every write worker is parked inside a gate write (the stand-in for
+  // a worker asleep in the write channel's throttle); a read submitted
+  // afterwards is served by its own lane while the gates are still
+  // held. With shared workers this read would wait for a gate release.
+  constexpr int kWorkers = 2;
+  FaultInjector injector{FaultConfig{}};
+  auto store = BlockStore::Open(TempDir("duplex"), 2, 4096,
+                                BlockStore::Tuning{&injector, 3});
+  ASSERT_TRUE(store.ok());
+  IoScheduler sched(store->get(), kWorkers);
+  std::vector<uint8_t> data(256, 0x3E);
+  ASSERT_TRUE(sched
+                  .Wait(sched.SubmitWrite("blob", BufferOf(data),
+                                          IoScheduler::Priority::kBackground))
+                  .ok());
+  std::vector<IoScheduler::Ticket> gates;
+  for (int i = 0; i < kWorkers; ++i) {
+    const std::string key = "gate" + std::to_string(i);
+    injector.StallOpsOn(key);
+    gates.push_back(sched.SubmitWrite(key, BufferOf(data),
+                                      IoScheduler::Priority::kBackground));
+  }
+  injector.WaitForStalled(kWorkers);  // every write worker is held
+  // One more write queues behind the parked workers.
+  gates.push_back(sched.SubmitWrite("queued", BufferOf(data),
+                                    IoScheduler::Priority::kBackground));
+  Buffer out = Buffer::Allocate(256);
+  ASSERT_TRUE(sched
+                  .Wait(sched.SubmitRead(
+                      "blob", out, IoScheduler::Priority::kLatencyCritical))
+                  .ok());
+  EXPECT_EQ(VectorOf(out), data);
+  // The read resolved while no write after "blob" had completed.
+  EXPECT_EQ(sched.completed_latency_critical(), 1);
+  EXPECT_EQ(sched.completed_background(), 1);
+  injector.ReleaseStalled();
+  for (IoScheduler::Ticket t : gates) ASSERT_TRUE(sched.Wait(t).ok());
+  EXPECT_EQ(sched.completed_background(), 1 + kWorkers + 1);
+}
+
+TEST(IoSchedulerTest, ReadLaneKeepsTheClassLadder) {
+  // The ladder of the write-lane tests above, inside the read lane.
+  StarvationHarness harness("rd_ladder", 1, {}, /*reads=*/true);
+  for (int i = 0; i < 10; ++i) {
+    harness.SubmitTagged("bg" + std::to_string(i),
+                         IoScheduler::Priority::kBackground);
+  }
+  harness.SubmitTagged("state", IoScheduler::Priority::kNormal);
+  harness.SubmitTagged("hot", IoScheduler::Priority::kLatencyCritical);
+  harness.ReleaseGate();
+  ASSERT_TRUE(harness.sched().Drain().ok());
+  const std::vector<std::string> order = harness.order();
+  ASSERT_EQ(order.size(), 12u);
+  EXPECT_EQ(order[0], "hot");
+  EXPECT_EQ(order[1], "state");
+  EXPECT_EQ(order[2], "bg0");
+  EXPECT_EQ(order.back(), "bg9");
+}
+
+TEST(IoSchedulerTest, ReadLaneAgingPromotesStarvedBackgroundRead) {
+  IoScheduler::Tuning tuning;
+  tuning.background_aging_limit = 8;
+  StarvationHarness harness("rd_aging", 1, tuning, /*reads=*/true);
+  harness.SubmitTagged("bg", IoScheduler::Priority::kBackground);
+  for (int i = 0; i < 32; ++i) {
+    harness.SubmitTagged("c" + std::to_string(i),
+                         IoScheduler::Priority::kLatencyCritical);
+  }
+  harness.ReleaseGate();
+  ASSERT_TRUE(harness.sched().Drain().ok());
+  const std::vector<std::string> order = harness.order();
+  ASSERT_EQ(order.size(), 33u);
+  // Same arithmetic as the write lane: the gate plus 7 critical reads
+  // age "bg" past the limit. The setup writes are background-class
+  // write-lane completions and do not age it.
+  EXPECT_EQ(order[7], "bg");
+  EXPECT_EQ(harness.sched().promoted_background(), 1);
+}
+
+TEST(IoSchedulerTest, AgingCountsCompletionsOfItsOwnDirectionOnly) {
+  // A background read waits behind 3 critical reads while 32 critical
+  // writes complete on the other lane. Only same-lane completions age
+  // it (gate + 3 < 8), so it is served last, unpromoted; counting the
+  // writes would have promoted it ahead of every critical read.
+  IoScheduler::Tuning tuning;
+  tuning.background_aging_limit = 8;
+  StarvationHarness harness("dir_aging", 1, tuning, /*reads=*/true);
+  harness.SubmitTagged("bg", IoScheduler::Priority::kBackground);
+  for (int i = 0; i < 3; ++i) {
+    harness.SubmitTagged("c" + std::to_string(i),
+                         IoScheduler::Priority::kLatencyCritical);
+  }
+  const Buffer byte = Buffer::CopyOf("\x02", 1);
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(harness.sched()
+                    .Wait(harness.sched().SubmitWrite(
+                        "w" + std::to_string(i), byte,
+                        IoScheduler::Priority::kLatencyCritical))
+                    .ok());
+  }
+  harness.ReleaseGate();
+  ASSERT_TRUE(harness.sched().Drain().ok());
+  EXPECT_EQ(harness.order(),
+            (std::vector<std::string>{"c0", "c1", "c2", "bg"}));
   EXPECT_EQ(harness.sched().promoted_background(), 0);
 }
 

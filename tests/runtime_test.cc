@@ -223,6 +223,9 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   EXPECT_EQ(after_register.Flow(FlowClass::kGradState).bytes_written, 14 * kN);
   std::vector<Fp16> g(kN, FloatToHalf(0.01f));
   ASSERT_TRUE(ooc.StepTensor("w", g).ok());
+  // StepTensor returns with its writebacks submitted; drain the tensor
+  // so they are accounted before the delta is taken.
+  ASSERT_TRUE(ooc.DrainTensor("w").ok());
   const TransferStats step =
       Delta((*engine)->stats(), after_register);
   // Per step: read 12 bytes/param (P32+OS32), write 14 (P32+OS32+P16).
@@ -347,6 +350,53 @@ TEST(RatelTrainerTest, StepStatsAccountTraffic) {
   EXPECT_EQ(s.xfer.Flow(FlowClass::kCheckpoint).bytes_read, 0);
   EXPECT_GT(s.total_s, 0.0);
   EXPECT_GE(s.total_s + 1e-9, s.fetch_s + s.compute_s + s.optimizer_s - 1e-6);
+}
+
+TEST(RatelTrainerTest, SyncStepsAllocateNoStagingAfterTheFirst) {
+  // A sync step's writebacks queue behind its step-end barrier, so how
+  // many are outstanding at once depends on timing. The first step
+  // reserves the bound — every tensor's four — so a later step that
+  // reaches it grows no pool. Step 2 is made to reach it: every write
+  // parks in the write channel (an effectively unthrottled one, so the
+  // stall seam applies) until all writebacks of the step are queued.
+  FaultInjector injector{FaultConfig{}};
+  ag::TinyGpt model(SmallConfig(), 21);
+  TrainerOptions opts;
+  opts.store_dir = TempDir("staging");
+  opts.ssd_write_bandwidth = 1e12;
+  opts.fault_injector = &injector;
+  auto trainer = RatelTrainer::Create(&model, opts);
+  ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+  BufferPool& pool = (*trainer)->engine().buffer_pool();
+  int64_t all_writebacks = 0;
+  for (const auto& [name, var] : model.parameters()) {
+    const int64_t n = static_cast<int64_t>(var.value().size());
+    all_writebacks += 3 * pool.SizeClassFor(4 * n) + pool.SizeClassFor(2 * n);
+  }
+  Rng rng(9);
+  std::vector<int64_t> ids, targets;
+  MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+  ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+  const int64_t after_first = pool.stats().allocations;
+
+  injector.StallOpsOn("channel/ssd-write");
+  bool peak_reached = false;
+  std::thread releaser([&] {
+    injector.WaitForStalled(opts.io_workers);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pool.stats().outstanding_bytes < all_writebacks &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    peak_reached = pool.stats().outstanding_bytes >= all_writebacks;
+    injector.ReleaseStalled();
+  });
+  MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+  EXPECT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+  releaser.join();
+  EXPECT_TRUE(peak_reached);
+  EXPECT_EQ(pool.stats().allocations, after_first);
 }
 
 TEST(RatelTrainerTest, ThrottledStoreFavorsOptimizedPipeline) {

@@ -251,11 +251,19 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
   auto engine = OpenEngine("drain");
   ASSERT_TRUE(engine.ok());
   std::vector<uint8_t> data(128, 9);
+  // The engine orders a read only behind a *resolved* write of its key,
+  // so the keys read below are written (un-waited) and drained first.
+  for (int i = 0; i < 16; ++i) {
+    (void)(*engine)->SubmitWrite(FlowClass::kGradState,
+                                 "d" + std::to_string(i), BufferOf(data));
+  }
+  ASSERT_TRUE((*engine)->Drain().ok());
   std::vector<Buffer> outs(16);
   for (int i = 0; i < 16; ++i) {
-    const std::string key = "d" + std::to_string(i);
-    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint, key, BufferOf(data));
-    (void)(*engine)->SubmitRead(FlowClass::kCheckpoint, key, &outs[i], 128);
+    (void)(*engine)->SubmitWrite(FlowClass::kCheckpoint,
+                                 "w" + std::to_string(i), BufferOf(data));
+    (void)(*engine)->SubmitRead(FlowClass::kCheckpoint,
+                                "d" + std::to_string(i), &outs[i], 128);
   }
   // Never waited any ticket: Drain settles everything.
   ASSERT_TRUE((*engine)->Drain().ok());
@@ -268,6 +276,34 @@ TEST(TransferEngineTest, DrainConsumesAbandonedTickets) {
       (*engine)->WriteBuffer(FlowClass::kGradState, "post", BufferOf(data))
           .ok());
   EXPECT_TRUE((*engine)->Contains("post"));
+}
+
+TEST(TransferEngineTest, ReservedStagingCoversACodecRoundTrip) {
+  // A reserved read miss on a codec'd flow covers the whole round trip
+  // of its key: the caller's payload and the encoded frame of the write,
+  // then the frame and the destination of the read.
+  TransferOptions opts;
+  opts.dir = TempDir("reserve");
+  opts.num_stripes = 2;
+  opts.chunk_bytes = 4096;
+  opts.codec.spec(FlowClass::kActivationSpill) = "fp16";
+  auto engine = TransferEngine::Open(opts);
+  ASSERT_TRUE(engine.ok());
+  constexpr int64_t kBytes = 4000;
+  (*engine)->ReserveStaging(FlowClass::kActivationSpill, {}, {kBytes});
+  const int64_t reserved = (*engine)->buffer_pool().stats().allocations;
+  EXPECT_EQ(reserved, 2);  // the frame and the destination
+  Buffer payload = (*engine)->buffer_pool().Lease(kBytes);
+  std::memset(payload.mutable_data(), 0, kBytes);
+  ASSERT_TRUE((*engine)
+                  ->WriteBuffer(FlowClass::kActivationSpill, "act",
+                                std::move(payload))
+                  .ok());
+  auto back =
+      (*engine)->ReadBuffer(FlowClass::kActivationSpill, "act", kBytes);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->size(), kBytes);
+  EXPECT_EQ((*engine)->buffer_pool().stats().allocations, reserved);
 }
 
 // ----- Zero-copy data path (measured, not asserted) -----

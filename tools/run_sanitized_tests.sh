@@ -9,8 +9,10 @@
 # With a label argument only that ctest label is run (e.g. `fault` or
 # `determinism` — the suites that exercise the fault seam's concurrent
 # retry/stall paths, where TSan coverage matters most — `async`, the
-# deferred-epoch optimizer pipeline whose background epochs + reaper
-# thread race foreground drains by design — `buffer`, the whole data
+# optimizer pipeline whose reaper thread races foreground drains by
+# design: deferred epochs in async mode, and in sync mode the trainer's
+# writebacks behind the per-tensor gate (runtime_test carries this
+# label too) — `buffer`, the whole data
 # path (buffer pool, I/O scheduler, DRAM tier, transfer engine,
 # prefetcher): every transfer rides Buffer lifetimes, so its
 # cross-thread lease/release refcounting is exactly what TSan/ASan
