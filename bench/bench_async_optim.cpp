@@ -2,7 +2,7 @@
 // the classic blocking step loop, A/B on the same throttled-SSD TinyGpt
 // fine-tuning workload.
 //
-// The sync trainer pays the full 14 bytes/param state writeback on the
+// The sync trainer pays the full 12 bytes/param state writeback on the
 // step's critical path (`optimizer_s`). The async trainer applies only
 // the hot (top-k gradient-magnitude) chunks inline and defers the tail
 // — plus the whole writeback — to background epochs whose

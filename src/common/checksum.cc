@@ -1,6 +1,11 @@
 #include "common/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace ratel {
 
@@ -24,9 +29,44 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes exactly the reflected Castagnoli CRC: bytes up
+// to an 8-byte boundary, then one 64-bit step per word, then the tail.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t size,
+                                                       uint32_t crc) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; size > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0; --size) {
+    c = _mm_crc32_u8(c, *p++);
+  }
+  uint64_t c64 = c;
+  for (; size >= 8; size -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c64 = _mm_crc32_u64(c64, word);
+  }
+  c = static_cast<uint32_t>(c64);
+  for (; size > 0; --size) c = _mm_crc32_u8(c, *p++);
+  return c ^ 0xFFFFFFFFu;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn ResolveCrc32c() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cReference;
+}
+
+// Resolved once, at static initialization.
+const Crc32cFn kCrc32c = ResolveCrc32c();
+
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t crc) {
+uint32_t Crc32cReference(const void* data, size_t size, uint32_t crc) {
   const auto& table = Table();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
@@ -34,6 +74,15 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t crc) {
     c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+bool Crc32cIsHardware() { return kCrc32c != Crc32cReference; }
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t crc) {
+  // A caller running during static initialization, before kCrc32c is
+  // set, gets the reference path.
+  return kCrc32c != nullptr ? kCrc32c(data, size, crc)
+                            : Crc32cReference(data, size, crc);
 }
 
 }  // namespace ratel

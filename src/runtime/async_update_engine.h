@@ -70,8 +70,12 @@ struct AsyncUpdateOptions {
 /// first (see the staleness bound below). The modes differ only in how
 /// much of the update runs before the return.
 ///
+/// P32 is the only parameter blob in the store: the fp16 copy (P16) the
+/// forward pass consumes is derived from it at fetch (FetchParams16), so
+/// an update writes back P32 and both moments, 12 bytes/param.
+///
 /// Sync mode (default): StepTensor reads the state (waited as one
-/// batch), applies the full update inline, and submits the four
+/// batch), applies the full update inline, and submits the three
 /// writebacks as FlowClass::kGradState. It does not wait for them: the
 /// tickets go to the tensor's gate and the reaper, exactly as a
 /// deferred epoch's do, so a pipeline thread moves on to the next
@@ -87,7 +91,7 @@ struct AsyncUpdateOptions {
 /// by gradient magnitude (PartitionChunksByImportance), applies the hot
 /// chunks inline, and enqueues a *deferred epoch* on the background
 /// pool. The epoch applies the tail chunks into the same private
-/// out-buffers, then publishes all four blobs (P32/OS32/P16) as
+/// out-buffers, then publishes all three blobs (P32/OS32) as
 /// FlowClass::kDeferredState traffic, so the whole writeback — hot and
 /// tail — leaves the step's critical path and overlaps the next step's
 /// forward. Because the Adam update is elementwise and the epoch reuses
@@ -100,7 +104,7 @@ struct AsyncUpdateOptions {
 /// half-applied update and no tensor falls more than one step behind.
 /// With a DRAM tier in front of the store the drain barrier is
 /// "published" (the epoch has admitted its buffers tier-wide; same-key
-/// reads are coherent immediately) — and the epoch *pins* its four
+/// reads are coherent immediately) — and the epoch *pins* its three
 /// written keys in the tier until the reaper resolves their store
 /// writes, so LRU pressure cannot evict a published-but-not-yet-durable
 /// blob out from under a post-drain read. When any pin cannot be taken (the entry was
@@ -112,7 +116,7 @@ struct AsyncUpdateOptions {
 /// epoch-to-epoch, never reordered.
 ///
 /// Traffic tagging: foreground state reads stay FlowClass::kGradState,
-/// P16 fetches FlowClass::kParamFetch, checkpoint reads
+/// the forward fetch's P32 reads FlowClass::kParamFetch, checkpoint reads
 /// FlowClass::kCheckpoint; deferred-epoch writebacks are
 /// FlowClass::kDeferredState (background priority) so they can never
 /// stall a latency-critical param fetch.
@@ -146,14 +150,14 @@ class AsyncUpdateEngine {
   AsyncUpdateEngine(const AsyncUpdateEngine&) = delete;
   AsyncUpdateEngine& operator=(const AsyncUpdateEngine&) = delete;
 
-  /// Registers a tensor: writes initial P32 (from fp32 values), zeroed
-  /// moments, and the initial P16 copy through the engine.
+  /// Registers a tensor: writes initial P32 (from fp32 values) and
+  /// zeroed moments through the engine.
   Status Register(const std::string& name,
                   const std::vector<float>& initial_params);
 
   /// One active-gradient-offloading handler invocation: consumes fp16
-  /// gradients for `name`, updates its out-of-core states, and leaves a
-  /// fresh P16 blob behind the engine. `grad_unscale` undoes the
+  /// gradients for `name` and updates its out-of-core states (P32 and
+  /// moments) behind the engine. `grad_unscale` undoes the
   /// trainer's mixed-precision loss scaling. Returns once the
   /// writebacks are submitted (sync mode) or the hot chunks are applied
   /// and the tail epoch is enqueued (async mode); a write failure of the
@@ -161,15 +165,16 @@ class AsyncUpdateEngine {
   Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16,
                     float grad_unscale = 1.0f);
 
-  /// Reads the current P16 copy of `name` (the forward-pass fetch
-  /// path). Drains the tensor's pending epoch first, so the copy always
+  /// The fp16 copy of `name` for the forward pass: reads P32 as
+  /// FlowClass::kParamFetch and demotes it (round to nearest even).
+  /// Drains the tensor's pending epoch first, so the copy always
   /// reflects a fully applied step.
   Status FetchParams16(const std::string& name, std::vector<Fp16>* out) const;
 
-  /// Engine key of the P16 blob of `name` (key namespace applied) —
+  /// Engine key of the P32 blob of `name` (key namespace applied) —
   /// lets the trainer drive the forward-stage fetch directly through
-  /// the engine's prefetch path.
-  std::string Params16Key(const std::string& name) const;
+  /// the engine's prefetch path and demote it itself.
+  std::string MasterParamsKey(const std::string& name) const;
 
   /// Reads the fp32 master copy (checkpointing/tests). Drains first.
   Status FetchMasterParams(const std::string& name,
@@ -186,9 +191,8 @@ class AsyncUpdateEngine {
                             Buffer* p32, Buffer* m, Buffer* v) const;
 
   /// Restores the complete optimizer state of `name`, registering the
-  /// tensor if missing: rewrites P32/moments, regenerates the P16 copy
-  /// from P32 (bitwise what StepTensor would have left behind), and sets
-  /// the per-tensor step. The checkpoint resume path. Any pending epoch
+  /// tensor if missing: rewrites P32/moments and sets the per-tensor
+  /// step. The checkpoint resume path. Any pending epoch
   /// is drained (and its sticky error superseded) first.
   Status ImportState(const std::string& name, int64_t step,
                      const std::vector<float>& p32,
@@ -197,7 +201,7 @@ class AsyncUpdateEngine {
 
   /// Blocks until `name`'s pending update (deferred epoch or sync
   /// writebacks) is safe to read behind — the per-tensor dependency gate
-  /// the trainer's P16 prefetch uses so no fetch overlaps an in-flight
+  /// the trainer's parameter prefetch uses so no fetch overlaps an in-flight
   /// update. Returns the tensor's sticky write error, if any.
   Status DrainTensor(const std::string& name) const;
 
@@ -221,7 +225,7 @@ class AsyncUpdateEngine {
     /// The epoch's writebacks are published but their store writes have
     /// not resolved yet.
     bool writes_inflight = false;
-    /// The pending epoch could not pin all four written keys in the
+    /// The pending epoch could not pin all three written keys in the
     /// DRAM tier, so its drain barrier is durable regardless of the
     /// tier: a post-drain read might miss and hit the store, where only
     /// resolved writes are ordered.
@@ -247,14 +251,13 @@ class AsyncUpdateEngine {
     return engine_->host_cache_capacity() <= 0;
   }
 
-  // Engine keys of a tensor's four blobs, with the configured key
+  // Engine keys of a tensor's three blobs, with the configured key
   // namespace at the *front* ("job1/p32/<name>") — a per-tenant
   // FaultConfig::key_prefix of "job1/" then scopes blob faults to
   // exactly this optimizer's traffic.
   std::string P32Key(const std::string& name) const;
   std::string MomKey(const std::string& name) const;
   std::string VarKey(const std::string& name) const;
-  std::string P16Key(const std::string& name) const;
 
   /// The full inline step (sync mode): reads waited as one batch,
   /// writebacks handed to WriteBack.
@@ -266,15 +269,15 @@ class AsyncUpdateEngine {
   void RunEpoch(TensorMeta* meta, const std::string& name, int64_t step,
                 int64_t n, std::vector<Fp16> grads16, ChunkPartition part,
                 Buffer p32_in, Buffer m_in, Buffer v_in, Buffer p32_out,
-                Buffer m_out, Buffer v_out, Buffer p16, float grad_unscale);
+                Buffer m_out, Buffer v_out, float grad_unscale);
 
-  /// Submits `name`'s four blobs as `flow` writes and publishes them:
+  /// Submits `name`'s three blobs as `flow` writes and publishes them:
   /// pins them in the DRAM tier when one exists (else the tensor's
   /// barrier is durable), clears epoch_pending, sets writes_inflight and
   /// hands the tickets to the reaper. Waits out the tensor's previous
   /// writebacks first, so same-key store writes never reorder.
   void WriteBack(TensorMeta* meta, const std::string& name, FlowClass flow,
-                 Buffer p32, Buffer m, Buffer v, Buffer p16);
+                 Buffer p32, Buffer m, Buffer v);
 
   /// One update's submitted store writebacks, awaiting resolution on
   /// the reaper thread.

@@ -12,6 +12,7 @@
 #include "runtime/checkpoint.h"
 #include "runtime/prefetcher.h"
 #include "runtime/workload_map.h"
+#include "simd/simd.h"
 #include "xfer/tenant.h"
 
 namespace ratel {
@@ -22,6 +23,16 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Rounds P32 through fp16: bitwise the P16 an Adam step would emit.
+void RoundThroughHalf(const float* p32, float* out, int64_t n) {
+  Fp16 halves[1024];
+  for (int64_t i = 0; i < n; i += 1024) {
+    const int64_t len = std::min<int64_t>(1024, n - i);
+    simd::Kernels().floats_to_halves(p32 + i, halves, len);
+    simd::Kernels().halves_to_floats(halves, out + i, len, 1.0f);
+  }
 }
 
 }  // namespace
@@ -81,6 +92,24 @@ Status RatelTrainer::Initialize() {
     }
     RATEL_ASSIGN_OR_RETURN(owned_engine_, TransferEngine::Open(xfer));
     engine_ = owned_engine_.get();
+  }
+  // The model-state blobs (P32 and the moments) are written on
+  // grad_state, deferred_state and checkpoint and read on param_fetch
+  // too, so those four flows must frame their bytes the same way — a
+  // blob written raw and read framed (or the reverse) fails its size
+  // check.
+  auto codec_id = [this](FlowClass flow) {
+    const Codec* codec = engine_->codecs().ForFlow(flow);
+    return codec != nullptr ? static_cast<int>(codec->id()) : -1;
+  };
+  for (FlowClass flow : {FlowClass::kParamFetch, FlowClass::kDeferredState,
+                         FlowClass::kCheckpoint}) {
+    if (codec_id(flow) != codec_id(FlowClass::kGradState)) {
+      return Status::InvalidArgument(
+          std::string("codec of ") + FlowClassName(flow) +
+          " must match grad_state's: all four model-state flows read and "
+          "write the same blobs");
+    }
   }
   // The async-optimizer knobs get the same environment overlay as the
   // fault config: any trainer binary can flip modes without rebuilding.
@@ -159,21 +188,40 @@ void RatelTrainer::InstallPlan(const ActivationPlan& plan,
   schedule_ = std::move(next);
 }
 
-void RatelTrainer::ReserveOptimizerStaging() {
+int RatelTrainer::MissableFetchDepth() const {
+  return engine_->host_cache_capacity() > 0 ? 0 : schedule_.prefetch_depth;
+}
+
+void RatelTrainer::ReserveModelStateStaging() {
   BufferPool& pool = engine_->buffer_pool();
   std::vector<int64_t> writes;
-  std::map<int64_t, int64_t> tensors_per_read_class;
+  std::map<int64_t, int64_t> tensors_per_class;
   for (const auto& [name, var] : model_->parameters()) {
     const int64_t n = static_cast<int64_t>(var.value().size());
-    writes.insert(writes.end(), {4 * n, 4 * n, 4 * n, 2 * n});
-    if (n > 0) ++tensors_per_read_class[pool.SizeClassFor(4 * n)];
+    writes.insert(writes.end(), 3, 4 * n);
+    if (n > 0) ++tensors_per_class[pool.SizeClassFor(4 * n)];
   }
-  const int64_t threads = std::max(1, options_.pipeline_threads);
+  // Every read is a P32 or moment blob of some tensor. A DRAM tier
+  // serves them by reference; without one each miss leases staging:
+  // the fetch window (`depth` in flight plus the one being converted)
+  // and the state reads of as many tensors as can hold them at once —
+  // the pipeline threads in sync mode, every queued epoch in async
+  // mode.
   std::vector<int64_t> reads;
-  for (const auto& [size_class, tensors] : tensors_per_read_class) {
-    reads.insert(reads.end(), 3 * std::min(threads, tensors), size_class);
+  if (const int depth = MissableFetchDepth(); depth > 0) {
+    const int64_t threads = std::max(1, options_.pipeline_threads);
+    for (const auto& [size_class, tensors] : tensors_per_class) {
+      const int64_t readers =
+          adam_->async() ? tensors : std::min(threads, tensors);
+      reads.insert(reads.end(),
+                   std::min<int64_t>(depth + 1, tensors) + 3 * readers,
+                   size_class);
+    }
   }
+  // The model-state flows share one codec (checked at Initialize), so
+  // grad_state's framing stands for all of them.
   engine_->ReserveStaging(FlowClass::kGradState, writes, reads);
+  reserved_fetch_depth_ = MissableFetchDepth();
 }
 
 std::vector<std::string> RatelTrainer::ArrivalOrder() const {
@@ -203,21 +251,24 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     const int accum0 = std::max(1, options_.grad_accumulation_steps);
     if (batch % accum0 == 0) MaybeInitReplanner(batch / accum0);
   }
-  // The first sync step reserves the staging its overlapped legs can
-  // peak at, so later steps never grow the pool when timing lines a new
-  // peak up. (Async mode keeps its epoch-driven pool growth.)
-  const bool reserve_staging = !adam_->async() && !staging_reserved_;
-  staging_reserved_ = true;
+  // The first step reserves the staging its overlapped legs can peak
+  // at, so later steps never grow the pool when timing lines a new peak
+  // up; a swapped-in schedule that deepens a fetch window that can miss
+  // the DRAM tier reserves again.
+  const bool first_step = reserved_fetch_depth_ < 0;
+  if (MissableFetchDepth() > reserved_fetch_depth_) {
+    ReserveModelStateStaging();
+  }
   StepStats stats;
   const TransferStats xfer0 = engine_->stats();
   const AsyncUpdateEngine::Stats update0 = adam_->stats();
   const double t0 = NowSeconds();
 
-  // --- Swap in the current P16 copies (the forward-stage M->G fetch),
-  // prefetched a few tensors ahead through the engine so the
-  // latency-critical reads overlap the fp16 -> fp32 conversion (the
-  // M->G / compute pipeline of Section IV-A). Each request carries a
-  // per-tensor dependency gate: the fetch of a P16 whose update is
+  // --- Swap in the current P16 copies (the forward-stage M->G fetch):
+  // P32 blobs prefetched a few tensors ahead through the engine, so the
+  // latency-critical reads overlap the fp16 rounding (the M->G /
+  // compute pipeline of Section IV-A). Each request carries a
+  // per-tensor dependency gate: the fetch of a tensor whose update is
   // still in flight drains that one tensor first (staleness bound <= 1
   // step), while fetches of already-drained tensors stream ahead — in
   // async-optimizer mode the previous step's deferred writebacks
@@ -228,8 +279,8 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
     requests.reserve(model_->parameters().size());
     for (const auto& [name, var] : model_->parameters()) {
       Prefetcher::Request req;
-      req.key = adam_->Params16Key(name);
-      req.size = 2 * static_cast<int64_t>(var.value().size());
+      req.key = adam_->MasterParamsKey(name);
+      req.size = 4 * static_cast<int64_t>(var.value().size());
       req.gate = [this, name = name] { return adam_->DrainTensor(name); };
       requests.push_back(std::move(req));
     }
@@ -237,12 +288,12 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
                           std::move(requests), schedule_.prefetch_depth);
     for (auto& [name, var] : model_->parameters()) {
       Prefetcher::Item item = prefetcher.Next();
-      RATEL_CHECK(item.key == adam_->Params16Key(name));
+      RATEL_CHECK(item.key == adam_->MasterParamsKey(name));
       RATEL_RETURN_IF_ERROR(item.status);
       std::vector<float>& dst = var.mutable_value();
-      RATEL_CHECK(static_cast<size_t>(item.data.size()) == 2 * dst.size());
-      const Fp16* p16 = reinterpret_cast<const Fp16*>(item.data.data());
-      for (size_t i = 0; i < dst.size(); ++i) dst[i] = HalfToFloat(p16[i]);
+      RATEL_CHECK(static_cast<size_t>(item.data.size()) == 4 * dst.size());
+      RoundThroughHalf(reinterpret_cast<const float*>(item.data.data()),
+                       dst.data(), static_cast<int64_t>(dst.size()));
     }
   }
   const double t_fetch = NowSeconds();
@@ -309,7 +360,7 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
         }
         std::sort(spill_set.begin(), spill_set.end());
       }
-      if (reserve_staging && step == 0) {
+      if (first_step && step == 0) {
         // Read k is leased only after write k resolved, so a spilled
         // node holds one frame at a time: the read misses bound the
         // whole swap.
@@ -406,8 +457,6 @@ Result<float> RatelTrainer::TrainStep(const std::vector<int64_t>& ids,
   // Deferred work for the serialized-pipelined mode (all handlers run
   // concurrently, but only after "backward" fully finished).
   std::vector<std::pair<std::string, std::vector<Fp16>>> deferred;
-
-  if (reserve_staging) ReserveOptimizerStaging();
 
   // Scope this step's handler tasks: the group's Wait covers exactly
   // the tasks submitted through it, independent of anything else that
@@ -596,8 +645,8 @@ Result<int64_t> RatelTrainer::RestoreLatestCheckpoint(const std::string& dir) {
     RATEL_RETURN_IF_ERROR(
         adam_->ImportState(t.name, t.adam_step, t.p32, t.m, t.v));
   }
-  // The imported P16 copies must be durable before the next step's
-  // fetch can observe them.
+  // The imported state must be durable before the next step's fetch
+  // can observe it.
   RATEL_RETURN_IF_ERROR(engine_->Drain());
   global_step_ = state.step;
   return global_step_;

@@ -40,8 +40,8 @@ struct TrainerOptions {
   /// completed while it waited (<= 0 restores strict priority).
   int background_aging_limit = 64;
   /// DRAM tier-cache capacity in front of the SSD tier (the main
-  /// memory level of the hierarchy); 0 disables caching. Hot P16 blocks
-  /// and model-state chunks are then served from DRAM.
+  /// memory level of the hierarchy); 0 disables caching. Hot parameter
+  /// and model-state blobs are then served from DRAM.
   int64_t host_cache_bytes = 0;
   /// True swaps the tape's saved activations (A16) out through the
   /// engine after forward and back in before backward — the activation
@@ -91,7 +91,10 @@ struct TrainerOptions {
   /// transient and precision-tolerant by construction, while parameter,
   /// optimizer-state, and checkpoint bytes must survive the round trip
   /// exactly (Create returns kInvalidArgument otherwise). Ignored when
-  /// attaching to a shared_engine (its configuration governs).
+  /// attaching to a shared_engine (its configuration governs). Either
+  /// way, param_fetch, grad_state, deferred_state and checkpoint read
+  /// and write the same P32 and moment blobs, so Create also returns
+  /// kInvalidArgument unless those four flows share one codec.
   CodecConfig codec;
   /// Retry discipline the I/O scheduler applies to transient store
   /// failures.
@@ -167,8 +170,8 @@ struct StepStats {
 
 /// The runnable counterpart of the paper's framework integration
 /// (Fig. 4): wraps a real TinyGpt model so that
-///   - fp16 parameter copies (P16) are fetched through the transfer
-///     engine before each forward pass,
+///   - fp16 parameter copies (P16) are derived from P32 fetched through
+///     the transfer engine before each forward pass,
 ///   - gradients are consumed per parameter group as they "arrive" in
 ///     backward order, driving the out-of-core Adam handler
 ///     (active gradient offloading, Section IV-C), and
@@ -181,7 +184,7 @@ struct StepStats {
 class RatelTrainer {
  public:
   /// Opens the transfer engine, registers every model parameter with
-  /// the out-of-core optimizer, and seeds the initial P16 copies.
+  /// the out-of-core optimizer, and seeds their initial state.
   /// `model` must outlive the trainer.
   static Result<std::unique_ptr<RatelTrainer>> Create(
       ag::TinyGpt* model, const TrainerOptions& options);
@@ -268,11 +271,16 @@ class RatelTrainer {
   void InstallPlan(const ActivationPlan& plan, const KnapsackPlan& recompute,
                    const HardwareProfile& profile, int64_t version);
 
-  /// Reserves the staging of a sync optimizer stage whose in-flight peak
-  /// depends on timing: every tensor's four writebacks outstanding at
-  /// the step-end barrier, plus the state reads of as many tensors as
-  /// there are pipeline threads.
-  void ReserveOptimizerStaging();
+  /// Reserves the model-state staging whose in-flight peak depends on
+  /// timing: every tensor's three writebacks outstanding at once (the
+  /// sync step-end barrier, or one deferred epoch per tensor beside the
+  /// published state), plus — without a DRAM tier — the parameter fetch
+  /// window and the state reads in flight.
+  void ReserveModelStateStaging();
+
+  /// Prefetch depth whose reads can miss to the store and lease
+  /// staging: the active schedule's, or 0 behind a DRAM tier.
+  int MissableFetchDepth() const;
 
   ag::TinyGpt* model_;  // not owned
   TrainerOptions options_;
@@ -287,8 +295,9 @@ class RatelTrainer {
   ActiveSchedule schedule_;
   double nameplate_bw_s2m_ = 0.0;  // depth scaling reference
   int64_t replans_installed_ = 0;
-  /// The first sync step reserved its timing-dependent staging peaks.
-  bool staging_reserved_ = false;
+  /// MissableFetchDepth() the last staging reservation was sized for;
+  /// -1 until the first step reserves.
+  int reserved_fetch_depth_ = -1;
   std::unique_ptr<ThreadPool> pipeline_;  // declared last: joins first
   int64_t global_step_ = 0;
   StepStats last_stats_;

@@ -203,6 +203,56 @@ TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
             0);
 }
 
+// ---------- The stored blob set ----------
+
+TEST(AsyncOptimTest, NoP16BlobIsEverStored) {
+  // P32 is the only parameter blob: Register, StepTensor and
+  // ImportState each leave exactly P32 and the two moments per tensor,
+  // in either mode, with or without a DRAM tier in front of the store.
+  for (bool async : {false, true}) {
+    for (int64_t cache : {int64_t{0}, int64_t{1} << 20}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                   (cache > 0 ? " tier" : " no tier"));
+      auto engine = OpenEngine(std::string("no_p16_") + (async ? "a" : "s") +
+                                   (cache > 0 ? "t" : "n"),
+                               cache);
+      ASSERT_TRUE(engine.ok());
+      AsyncUpdateOptions opts;
+      opts.async = async;
+      opts.chunk = 64;
+      AsyncUpdateEngine ooc(AdamConfig{}, engine->get(), opts);
+      const int64_t n = 512;
+      auto expect_state_only = [&](const std::vector<std::string>& names) {
+        ASSERT_TRUE(ooc.DrainAll().ok());
+        for (const std::string& name : names) {
+          EXPECT_FALSE((*engine)->Contains("p16/" + name)) << name;
+          EXPECT_TRUE((*engine)->Contains("p32/" + name)) << name;
+        }
+        EXPECT_EQ((*engine)->store().num_blobs(),
+                  3 * static_cast<int64_t>(names.size()));
+      };
+      ASSERT_TRUE(ooc.Register("w", RandomVec(n, 1)).ok());
+      expect_state_only({"w"});
+      ASSERT_TRUE(ooc.StepTensor("w", RandomGrads16(n, 2)).ok());
+      expect_state_only({"w"});
+      ASSERT_TRUE(ooc.ImportState("w", 5, RandomVec(n, 3), RandomVec(n, 4),
+                                  RandomVec(n, 5))
+                      .ok());
+      ASSERT_TRUE(ooc.ImportState("z", 1, RandomVec(n, 6), RandomVec(n, 7),
+                                  RandomVec(n, 8))
+                      .ok());
+      expect_state_only({"w", "z"});
+      // The fp16 copy is still served, derived from P32.
+      std::vector<Fp16> p16;
+      ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
+      const std::vector<float> p32 = RandomVec(n, 3);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(p16[i], FloatToHalf(p32[i])) << i;
+      }
+    }
+  }
+}
+
 // ---------- Sync mode: writebacks behind the per-tensor gate ----------
 
 TEST(AsyncOptimTest, SyncConsumersSeeTheNewStepWithoutADramTier) {

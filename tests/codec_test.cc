@@ -12,13 +12,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "autograd/transformer.h"
+#include "common/checksum.h"
 #include "common/fp16.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -28,6 +31,7 @@
 #include "model/transformer_config.h"
 #include "runtime/dataset.h"
 #include "runtime/ratel_trainer.h"
+#include "simd/simd.h"
 #include "tests/test_buffers.h"
 #include "xfer/transfer_engine.h"
 
@@ -221,6 +225,110 @@ TEST(Fp16CodecTest, MatchesScalarHalfConversionOnRandomData) {
     // The codec is exactly FloatToHalf -> HalfToFloat, nothing fancier.
     EXPECT_EQ(out[i], HalfToFloat(FloatToHalf(vals[i]))) << i;
   }
+}
+
+// Every backend that can run on this host.
+std::vector<simd::Mode> RunnableSimdModes() {
+  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
+  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+  return modes;
+}
+
+float FromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+TEST(Fp16CodecTest, SimdCodecIsBitwiseTheScalarLoopForEveryNonNaN) {
+  // Inputs that exercise every rounding path of the demotion: every
+  // non-NaN half widened (exact), the exact midpoint above each finite
+  // half (round-to-nearest-even ties, including the subnormal range and
+  // the 65520 overflow tie), fp32 subnormals, the infinities and random
+  // non-NaN bit patterns.
+  std::vector<float> vals;
+  std::vector<Fp16> halves;
+  for (uint32_t h = 0; h < 0x10000; ++h) {
+    const Fp16 half = static_cast<Fp16>(h);
+    if ((h & 0x7C00u) == 0x7C00u && (h & 0x3FFu) != 0) continue;  // NaN
+    halves.push_back(half);
+    const float value = HalfToFloat(half);
+    vals.push_back(value);
+    if ((h & 0x7FFFu) < 0x7C00u) {
+      const float next = (h & 0x7FFFu) == 0x7BFFu
+                             ? std::copysign(65536.0f, value)
+                             : HalfToFloat(static_cast<Fp16>(h + 1));
+      vals.push_back(value + (next - value) / 2);
+    }
+  }
+  for (uint32_t bits : {0x00000001u, 0x007FFFFFu, 0x80000001u, 0x00400000u}) {
+    vals.push_back(FromBits(bits));
+  }
+  vals.push_back(std::numeric_limits<float>::infinity());
+  vals.push_back(-std::numeric_limits<float>::infinity());
+  Rng rng(77);
+  while (vals.size() < 300000) {
+    const float v = FromBits(static_cast<uint32_t>(rng.NextU64()));
+    if (!std::isnan(v)) vals.push_back(v);
+  }
+  const std::vector<uint8_t> bytes = AsBytes(vals);
+  std::vector<float> half_floats(halves.size());
+  for (size_t i = 0; i < halves.size(); ++i) {
+    half_floats[i] = HalfToFloat(halves[i]);
+  }
+  const std::vector<uint8_t> half_bytes = AsBytes(half_floats);
+
+  auto codec = MakeFp16Codec();
+  const simd::Mode saved = simd::ActiveMode();
+  for (simd::Mode mode : RunnableSimdModes()) {
+    SCOPED_TRACE(simd::ModeName(mode));
+    ASSERT_TRUE(simd::SetMode(mode));
+    // Encode: the payload is exactly the scalar FloatToHalf loop.
+    const std::vector<uint8_t> frame =
+        EncodeToFrame(*codec, bytes.data(), bytes.size());
+    const uint8_t* payload = frame.data() + kCodecFrameHeaderBytes;
+    for (size_t i = 0; i < vals.size(); ++i) {
+      Fp16 got;
+      std::memcpy(&got, payload + 2 * i, sizeof(got));
+      ASSERT_EQ(got, FloatToHalf(vals[i])) << "value bits " << std::hex
+                                           << std::bit_cast<uint32_t>(vals[i]);
+    }
+    // Decode: every non-NaN half widens exactly as HalfToFloat does.
+    const std::vector<uint8_t> half_frame =
+        EncodeToFrame(*codec, half_bytes.data(), half_bytes.size());
+    std::vector<float> out(halves.size());
+    ASSERT_TRUE(DecodeFrame(half_frame.data(), half_frame.size(),
+                            reinterpret_cast<uint8_t*>(out.data()),
+                            half_bytes.size())
+                    .ok());
+    for (size_t i = 0; i < halves.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(out[i]),
+                std::bit_cast<uint32_t>(HalfToFloat(halves[i])))
+          << "half " << std::hex << halves[i];
+    }
+  }
+  simd::SetMode(saved);
+}
+
+// ---------- CRC-32C under every frame ----------
+
+TEST(Crc32cTest, DispatchedPathMatchesTheReferenceTable) {
+  // Random lengths (across the 8-byte word loop and its byte tails),
+  // start offsets (every alignment of the head) and chained seeds.
+  const std::vector<uint8_t> data = RandomBytes(4096 + 64, 31);
+  Rng rng(32);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.NextBelow(16);
+    const size_t size = trial < 64 ? static_cast<size_t>(trial)
+                                   : rng.NextBelow(4096 + 1);
+    const uint32_t seed = trial % 3 == 0 ? 0u
+                                         : static_cast<uint32_t>(rng.NextU64());
+    ASSERT_EQ(Crc32c(data.data() + offset, size, seed),
+              Crc32cReference(data.data() + offset, size, seed))
+        << "offset " << offset << " size " << size << " seed " << seed;
+  }
+  EXPECT_EQ(Crc32cReference("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
 // ---------- top-k codec ----------
@@ -722,6 +830,79 @@ TEST(CodecTrainerTest, LossyCodecRejectedOffTheActivationFlow) {
   EXPECT_EQ(trainer.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(trainer.status().message().find("grad_state"),
             std::string::npos);
+}
+
+ag::TinyGptConfig CodecTrainerConfig() {
+  ag::TinyGptConfig cfg;
+  cfg.vocab_size = 32;
+  cfg.seq_len = 8;
+  cfg.hidden_dim = 16;
+  cfg.num_heads = 2;
+  cfg.num_layers = 2;
+  return cfg;
+}
+
+TEST(CodecTrainerTest, ModelStateFlowsMustShareOneCodec) {
+  // param_fetch, grad_state, deferred_state and checkpoint read and
+  // write the same P32/moment blobs: a framed reader of a raw blob (or
+  // the reverse) would fail its size check at the first step, so Create
+  // rejects any disagreement up front and names the odd flow out.
+  for (FlowClass flow : {FlowClass::kParamFetch, FlowClass::kGradState,
+                         FlowClass::kDeferredState, FlowClass::kCheckpoint}) {
+    SCOPED_TRACE(FlowClassName(flow));
+    ag::TinyGpt model(CodecTrainerConfig(), 73);
+    TrainerOptions opts;
+    opts.store_dir = TempDir(std::string("mismatch_") + FlowClassName(flow));
+    opts.codec.spec(flow) = "identity";
+    auto trainer = RatelTrainer::Create(&model, opts);
+    ASSERT_FALSE(trainer.ok());
+    EXPECT_EQ(trainer.status().code(), StatusCode::kInvalidArgument);
+    const std::string odd = flow == FlowClass::kGradState
+                                ? FlowClassName(FlowClass::kParamFetch)
+                                : FlowClassName(flow);
+    EXPECT_NE(trainer.status().message().find(odd), std::string::npos)
+        << trainer.status().message();
+  }
+}
+
+TEST(CodecTrainerTest, AllIdentityTierlessTrainerTrainsTheRawTrajectory) {
+  // Framing the model-state flows changes the store bytes, never the
+  // values: with no DRAM tier every fetch and state read decodes a
+  // frame, and the run must match the raw trainer bit for bit.
+  auto run = [](const std::string& tag, bool framed) {
+    ag::TinyGpt model(CodecTrainerConfig(), 74);
+    TrainerOptions opts;
+    opts.store_dir = TempDir(tag);
+    if (framed) {
+      for (FlowClass flow :
+           {FlowClass::kParamFetch, FlowClass::kGradState,
+            FlowClass::kDeferredState, FlowClass::kCheckpoint}) {
+        opts.codec.spec(flow) = "identity";
+      }
+    }
+    auto trainer = RatelTrainer::Create(&model, opts);
+    EXPECT_TRUE(trainer.ok()) << trainer.status().message();
+    SyntheticDataset ds(SyntheticTask::kAffineMap, 32, 8, 12);
+    std::vector<float> trajectory;
+    for (int step = 0; step < 4; ++step) {
+      const TokenBatch b = ds.NextBatch(2);
+      auto loss = (*trainer)->TrainStep(b.ids, b.targets, 2);
+      EXPECT_TRUE(loss.ok()) << loss.status().message();
+      trajectory.push_back(loss.ok() ? *loss : -1.0f);
+    }
+    std::vector<float> master;
+    EXPECT_TRUE(
+        (*trainer)->optimizer().FetchMasterParams("blk0/w_qkv", &master).ok());
+    trajectory.insert(trajectory.end(), master.begin(), master.end());
+    const TransferStats stats = (*trainer)->transfer_stats();
+    EXPECT_EQ(stats.Flow(FlowClass::kParamFetch).decodes > 0, framed);
+    return trajectory;
+  };
+  const std::vector<float> raw = run("all_raw", false);
+  const std::vector<float> framed = run("all_identity", true);
+  ASSERT_EQ(raw.size(), framed.size());
+  EXPECT_EQ(std::memcmp(raw.data(), framed.data(), raw.size() * sizeof(float)),
+            0);
 }
 
 TEST(CodecTrainerTest, LossyCodecAcceptedOnActivationSpillAndTrains) {

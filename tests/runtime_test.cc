@@ -209,7 +209,10 @@ TEST(OutOfCoreAdamTest, P16CopyTracksMaster) {
   std::vector<float> master;
   ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());
   ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
-  EXPECT_NEAR(HalfToFloat(p16[0]), master[0], 1e-3f);
+  ASSERT_EQ(p16.size(), master.size());
+  for (size_t i = 0; i < master.size(); ++i) {
+    EXPECT_EQ(p16[i], FloatToHalf(master[i])) << i;
+  }
 }
 
 TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
@@ -219,8 +222,8 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   constexpr int64_t kN = 1000;
   ASSERT_TRUE(ooc.Register("w", std::vector<float>(kN, 0.1f)).ok());
   const TransferStats after_register = (*engine)->stats();
-  // P32 + OS32 + P16 seed, all on the model-state flow.
-  EXPECT_EQ(after_register.Flow(FlowClass::kGradState).bytes_written, 14 * kN);
+  // P32 + OS32 seed, all on the model-state flow; no P16 is stored.
+  EXPECT_EQ(after_register.Flow(FlowClass::kGradState).bytes_written, 12 * kN);
   std::vector<Fp16> g(kN, FloatToHalf(0.01f));
   ASSERT_TRUE(ooc.StepTensor("w", g).ok());
   // StepTensor returns with its writebacks submitted; drain the tensor
@@ -228,14 +231,15 @@ TEST(OutOfCoreAdamTest, TrafficAccountingMatchesTableII) {
   ASSERT_TRUE(ooc.DrainTensor("w").ok());
   const TransferStats step =
       Delta((*engine)->stats(), after_register);
-  // Per step: read 12 bytes/param (P32+OS32), write 14 (P32+OS32+P16).
+  // Per step: read and write 12 bytes/param (P32+OS32).
   EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_read, 12 * kN);
-  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_written, 14 * kN);
-  // The P16 forward fetch travels on its own flow: 2 bytes/param.
+  EXPECT_EQ(step.Flow(FlowClass::kGradState).bytes_written, 12 * kN);
+  // The P16 forward fetch travels on its own flow: it reads P32, 4
+  // bytes/param, and demotes it.
   std::vector<Fp16> p16;
   ASSERT_TRUE(ooc.FetchParams16("w", &p16).ok());
   const TransferStats fetched = (*engine)->stats();
-  EXPECT_EQ(fetched.Flow(FlowClass::kParamFetch).bytes_read, 2 * kN);
+  EXPECT_EQ(fetched.Flow(FlowClass::kParamFetch).bytes_read, 4 * kN);
   // No DRAM tier configured: per-flow totals reconcile with the store.
   EXPECT_EQ(fetched.TotalBytesWritten(), fetched.store_bytes_written);
   EXPECT_EQ(fetched.TotalBytesRead(), fetched.store_bytes_read);
@@ -338,14 +342,15 @@ TEST(RatelTrainerTest, StepStatsAccountTraffic) {
   ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 1).ok());
   const StepStats& s = (*trainer)->last_step_stats();
   const int64_t p = model.NumParameters();
-  // Reads: 2P of P16 fetch + 12P of optimizer state per step.
-  EXPECT_EQ(s.bytes_read, 14 * p);
-  EXPECT_EQ(s.bytes_written, 14 * p);
+  // Reads: 4P of P32 for the P16 fetch + 12P of optimizer state per
+  // step; writes: 12P of optimizer state.
+  EXPECT_EQ(s.bytes_read, 16 * p);
+  EXPECT_EQ(s.bytes_written, 12 * p);
   // The same traffic, broken down by flow class.
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_read, 2 * p);
+  EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_read, 4 * p);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kParamFetch).bytes_written, 0);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_read, 12 * p);
-  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_written, 14 * p);
+  EXPECT_EQ(s.xfer.Flow(FlowClass::kGradState).bytes_written, 12 * p);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kActivationSpill).bytes_read, 0);
   EXPECT_EQ(s.xfer.Flow(FlowClass::kCheckpoint).bytes_read, 0);
   EXPECT_GT(s.total_s, 0.0);
@@ -355,7 +360,7 @@ TEST(RatelTrainerTest, StepStatsAccountTraffic) {
 TEST(RatelTrainerTest, SyncStepsAllocateNoStagingAfterTheFirst) {
   // A sync step's writebacks queue behind its step-end barrier, so how
   // many are outstanding at once depends on timing. The first step
-  // reserves the bound — every tensor's four — so a later step that
+  // reserves the bound — every tensor's three — so a later step that
   // reaches it grows no pool. Step 2 is made to reach it: every write
   // parks in the write channel (an effectively unthrottled one, so the
   // stall seam applies) until all writebacks of the step are queued.
@@ -371,7 +376,7 @@ TEST(RatelTrainerTest, SyncStepsAllocateNoStagingAfterTheFirst) {
   int64_t all_writebacks = 0;
   for (const auto& [name, var] : model.parameters()) {
     const int64_t n = static_cast<int64_t>(var.value().size());
-    all_writebacks += 3 * pool.SizeClassFor(4 * n) + pool.SizeClassFor(2 * n);
+    all_writebacks += 3 * pool.SizeClassFor(4 * n);
   }
   Rng rng(9);
   std::vector<int64_t> ids, targets;
@@ -396,6 +401,75 @@ TEST(RatelTrainerTest, SyncStepsAllocateNoStagingAfterTheFirst) {
   EXPECT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
   releaser.join();
   EXPECT_TRUE(peak_reached);
+  EXPECT_EQ(pool.stats().allocations, after_first);
+}
+
+TEST(RatelTrainerTest, AsyncStepsAllocateNoStagingAfterTheFirst) {
+  // The async mirror of the sync case above. With a DRAM tier, a
+  // tensor's pool blocks peak at two versions of its state: the
+  // published one (tier-resident, its store writes in flight) and the
+  // next epoch's out-buffers. The first step reserves the second set,
+  // so the peak — reached here by parking every write in the channel
+  // across two steps — and the schedule swaps forced at every later
+  // step boundary grow no pool.
+  FaultInjector injector{FaultConfig{}};
+  ag::TinyGpt model(SmallConfig(), 23);
+  TrainerOptions opts;
+  opts.store_dir = TempDir("async_staging");
+  opts.host_cache_bytes = 8 << 20;
+  opts.ssd_write_bandwidth = 1e12;
+  opts.fault_injector = &injector;
+  opts.async_optimizer = true;
+  opts.async_partition_chunk = 64;
+  // Every window deviates (any deviation exceeds a negative threshold),
+  // so the replanner re-solves and swaps the schedule each step.
+  opts.replan.enabled = true;
+  opts.replan.deviation_threshold = -1.0;
+  opts.replan.hysteresis_windows = 1;
+  opts.replan.cooldown_windows = 1;
+  auto trainer = RatelTrainer::Create(&model, opts);
+  ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+  BufferPool& pool = (*trainer)->engine().buffer_pool();
+  int64_t two_versions = 0;
+  for (const auto& [name, var] : model.parameters()) {
+    const int64_t n = static_cast<int64_t>(var.value().size());
+    two_versions += 2 * 3 * pool.SizeClassFor(4 * n);
+  }
+  Rng rng(9);
+  std::vector<int64_t> ids, targets;
+  MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+  ASSERT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+  ASSERT_TRUE((*trainer)->optimizer().DrainAll().ok());
+  const int64_t after_first = pool.stats().allocations;
+
+  injector.StallOpsOn("channel/ssd-write");
+  bool peak_reached = false;
+  std::thread releaser([&] {
+    injector.WaitForStalled(opts.io_workers);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pool.stats().outstanding_bytes < two_versions &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    peak_reached = pool.stats().outstanding_bytes >= two_versions;
+    injector.ReleaseStalled();
+  });
+  // Step 2 publishes a version whose writes park; step 3 leases the
+  // next one beside it.
+  for (int step = 0; step < 2; ++step) {
+    MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+    EXPECT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+  }
+  releaser.join();
+  EXPECT_TRUE(peak_reached);
+  const int64_t replans = (*trainer)->last_step_stats().replans;
+  for (int step = 0; step < 3; ++step) {
+    MakeBatch(rng, 2 * 8, 48, &ids, &targets);
+    EXPECT_TRUE((*trainer)->TrainStep(ids, targets, 2).ok());
+  }
+  ASSERT_TRUE((*trainer)->optimizer().DrainAll().ok());
+  EXPECT_GT((*trainer)->last_step_stats().replans, replans);
   EXPECT_EQ(pool.stats().allocations, after_first);
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Builds and runs the test suite under ThreadSanitizer and
-# AddressSanitizer, in separate build trees so sanitized objects never
-# mix with the regular build.
+# Builds and runs the test suite under ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer, in separate build
+# trees so sanitized objects never mix with the regular build.
 #
 # Usage:
 #   tools/run_sanitized_tests.sh [label]
@@ -24,13 +24,18 @@
 # `replan`, the online re-planning loop whose FlowObserver windows race
 # the engine's workers and whose hot-swaps land between steps while the
 # async optimizer still holds deferred epochs in flight).
-# Without one the full suite runs under both sanitizers, which includes
+# Without one the full suite runs under every sanitizer, which includes
 # the tenant, codec, and replan labels. The replan label also rides the
 # determinism label, so its bitwise-identity assertions run under both
-# RATEL_SIMD modes.
+# RATEL_SIMD modes. The label is a ctest regex, so the UBSan pass over
+# the fp16 bit tricks, SIMD tails, CRC and codec arithmetic is
+#   SANITIZERS=undefined tools/run_sanitized_tests.sh 'codec|simd|async|buffer'
+# (UBSan builds with -fno-sanitize-recover=all: a finding aborts the
+# test instead of printing and carrying on).
 #
 # Environment:
-#   SANITIZERS   space-separated subset to run (default: "thread address")
+#   SANITIZERS   space-separated subset to run
+#                (default: "thread address undefined")
 #   JOBS         build/test parallelism (default: nproc)
 
 set -euo pipefail
@@ -40,7 +45,7 @@ REPO_ROOT="$(pwd)"
 
 LABEL="${1:-}"
 JOBS="${JOBS:-$(nproc)}"
-SANITIZERS="${SANITIZERS:-thread address}"
+SANITIZERS="${SANITIZERS:-thread address undefined}"
 
 # The determinism label additionally runs once per RATEL_SIMD backend:
 # the scalar fallback everywhere, plus the AVX2 backend when the host
