@@ -22,55 +22,33 @@ using ratel::SetComputeThreads;
 
 // Two-argument variants sweep {n, compute threads}: the kernel fans its
 // fixed 4096-element chunk grid out on the shared ComputePool.
-void BM_AdamStepFp32(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  SetComputeThreads(static_cast<int>(state.range(1)));
-  CpuAdamKernel kernel(AdamConfig{});
-  Rng rng(1);
-  std::vector<float> grads(n), params(n), m(n, 0.0f), v(n, 0.0f);
-  for (int64_t i = 0; i < n; ++i) {
-    grads[i] = static_cast<float>(rng.NextGaussian());
-    params[i] = static_cast<float>(rng.NextGaussian());
-  }
-  int64_t step = 0;
-  for (auto _ : state) {
-    kernel.Step(++step, n, grads.data(), params.data(), m.data(), v.data(),
-                nullptr);
-    benchmark::DoNotOptimize(params.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  SetComputeThreads(1);
-}
-BENCHMARK(BM_AdamStepFp32)
-    ->Args({1 << 12, 1})
-    ->Args({1 << 16, 1})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 2})
-    ->Args({1 << 20, 4});
-
-void BM_AdamStepFp16GradsWithP16(benchmark::State& state) {
+void BM_AdamStepChunks(benchmark::State& state) {
   const int64_t n = state.range(0);
   SetComputeThreads(static_cast<int>(state.range(1)));
   CpuAdamKernel kernel(AdamConfig{});
   Rng rng(2);
-  std::vector<Fp16> grads(n), p16(n);
+  std::vector<Fp16> grads(n);
   std::vector<float> params(n), m(n, 0.0f), v(n, 0.0f);
   for (int64_t i = 0; i < n; ++i) {
     grads[i] = FloatToHalf(static_cast<float>(rng.NextGaussian()));
     params[i] = static_cast<float>(rng.NextGaussian());
   }
+  const std::vector<int64_t> chunks = CpuAdamKernel::AllChunks(n);
   int64_t step = 0;
   for (auto _ : state) {
-    kernel.StepFp16Grads(++step, n, grads.data(), params.data(), m.data(),
-                         v.data(), p16.data());
-    benchmark::DoNotOptimize(p16.data());
+    kernel.StepChunks(++step, n, grads.data(), chunks, CpuAdamKernel::kChunk,
+                      params.data(), m.data(), v.data(), params.data(),
+                      m.data(), v.data());
+    benchmark::DoNotOptimize(params.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
   SetComputeThreads(1);
 }
-BENCHMARK(BM_AdamStepFp16GradsWithP16)
+BENCHMARK(BM_AdamStepChunks)
     ->Args({1 << 12, 1})
+    ->Args({1 << 16, 1})
     ->Args({1 << 20, 1})
+    ->Args({1 << 20, 2})
     ->Args({1 << 20, 4});
 
 void BM_Fp16Conversion(benchmark::State& state) {

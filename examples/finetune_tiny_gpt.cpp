@@ -9,12 +9,16 @@
 //
 // The task is synthetic but learnable (predict (3*id+1) mod V); the run
 // reports loss, held-out accuracy, storage traffic and cache hit rate,
-// then writes a checkpoint of the fp32 master weights.
+// then writes a checkpoint of the fp32 master weights and reads it back.
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -49,9 +53,13 @@ int main(int argc, char** argv) {
   std::cout << "TinyGpt: " << model.NumParameters() << " parameters, "
             << cfg.num_layers << " blocks\n";
 
+  // Per-process paths, so concurrent runs (e.g. the sync and async
+  // smoke tests under `ctest -j`) never share a store or checkpoint.
+  const std::string suffix = "_" + std::to_string(::getpid());
+  const std::string store_dir = "/tmp/ratel_example_store" + suffix;
   TrainerOptions opts;
   opts.grad_mode = GradientOffloadMode::kOptimizedActive;
-  opts.store_dir = "/tmp/ratel_example_store";
+  opts.store_dir = store_dir;
   opts.num_stripes = 4;              // the emulated SSD array
   opts.host_cache_bytes = 8 * kMiB;  // DRAM tier in front of it
   opts.spill_activations = true;     // A16 swap-out/swap-in, real bytes
@@ -114,18 +122,29 @@ int main(int argc, char** argv) {
               100.0 * xfer.DramHitRate(),
               static_cast<long long>(xfer.cache.evictions));
 
-  // Keep the fine-tuned master weights.
+  // Checkpoint the fine-tuned master weights and read them back.
   std::vector<std::string> names;
   for (const auto& [name, var] : model.parameters()) names.push_back(name);
-  const std::string ckpt = "/tmp/ratel_example_model.ckpt";
+  const std::string ckpt = "/tmp/ratel_example_model" + suffix + ".ckpt";
   const Status saved =
       checkpoint::Save((*trainer)->optimizer(), names, ckpt);
-  if (saved.ok()) {
-    auto loaded = checkpoint::Load(ckpt);
-    std::cout << "Checkpoint: " << ckpt << " ("
-              << (loaded.ok() ? loaded->size() : 0) << " tensors)\n";
-  } else {
+  if (!saved.ok()) {
     std::cerr << "checkpoint failed: " << saved.ToString() << "\n";
+    return 1;
   }
+  auto loaded = checkpoint::Load(ckpt);
+  if (!loaded.ok()) {
+    std::cerr << "checkpoint unreadable: " << loaded.status().ToString()
+              << "\n";
+    return 1;
+  }
+  std::cout << "Checkpoint: wrote and re-read " << loaded->size()
+            << " tensors (" << ckpt << ")\n";
+  // Both paths are per-process scratch: remove them so repeated runs do
+  // not pile up in /tmp.
+  (*trainer).reset();
+  std::error_code ignored;
+  std::filesystem::remove_all(store_dir, ignored);
+  std::filesystem::remove(ckpt, ignored);
   return 0;
 }

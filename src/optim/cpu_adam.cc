@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "runtime/compute_pool.h"
@@ -11,8 +12,8 @@ namespace ratel {
 
 namespace {
 
-// Estimated scalar ops per updated element (two moment updates, decay,
-// sqrt + div, fp16 cast) for the dispatch cost model.
+// Estimated scalar ops per updated element (fp16 widen, two moment
+// updates, decay, sqrt + div) for the dispatch cost model.
 constexpr int64_t kAdamOpsPerElement = 16;
 
 // Per-step scalars for the simd Adam kernels, rounded exactly like the
@@ -36,30 +37,11 @@ simd::AdamCoeffs MakeAdamCoeffs(const AdamConfig& config, int64_t step) {
 
 }  // namespace
 
-void CpuAdamKernel::Step(int64_t step, int64_t n, const float* grads,
-                         float* params, float* exp_avg, float* exp_avg_sq,
-                         Fp16* params16_out) const {
-  // Elementwise update over disjoint kChunk ranges: trivially bitwise
-  // identical to the serial reference for any thread count (the simd
-  // Adam kernels are bitwise identical to StepSerialOut in both
-  // backends — see simd/simd.h).
-  const simd::AdamCoeffs c = MakeAdamCoeffs(config_, step);
-  const simd::KernelTable* kt = &simd::Kernels();
-  ComputeParallelFor(
-      KernelCost::kAdam, kAdamOpsPerElement * n, 0, n, kChunk,
-      [&](int64_t b, int64_t e) {
-        kt->adam_step_f32(c, e - b, grads + b, params + b, exp_avg + b,
-                          exp_avg_sq + b, params + b, exp_avg + b,
-                          exp_avg_sq + b,
-                          params16_out != nullptr ? params16_out + b : nullptr);
-      });
-}
-
-void CpuAdamKernel::StepSerial(int64_t step, int64_t n, const float* grads,
-                               float* params, float* exp_avg,
-                               float* exp_avg_sq, Fp16* params16_out) const {
-  StepSerialOut(step, n, grads, params, exp_avg, exp_avg_sq, params, exp_avg,
-                exp_avg_sq, params16_out);
+std::vector<int64_t> CpuAdamKernel::AllChunks(int64_t n, int64_t chunk) {
+  RATEL_CHECK(chunk >= 1);
+  std::vector<int64_t> chunks(static_cast<size_t>((n + chunk - 1) / chunk));
+  std::iota(chunks.begin(), chunks.end(), int64_t{0});
+  return chunks;
 }
 
 void CpuAdamKernel::StepSerialOut(int64_t step, int64_t n, const float* grads,
@@ -67,8 +49,7 @@ void CpuAdamKernel::StepSerialOut(int64_t step, int64_t n, const float* grads,
                                   const float* exp_avg_in,
                                   const float* exp_avg_sq_in,
                                   float* params_out, float* exp_avg_out,
-                                  float* exp_avg_sq_out,
-                                  Fp16* params16_out) const {
+                                  float* exp_avg_sq_out) const {
   RATEL_CHECK(step >= 1);
   const float beta1 = static_cast<float>(config_.beta1);
   const float beta2 = static_cast<float>(config_.beta2);
@@ -96,68 +77,42 @@ void CpuAdamKernel::StepSerialOut(int64_t step, int64_t n, const float* grads,
     const float denom = std::sqrt(v) * inv_sqrt_bc2 + eps;
     p -= step_size * m / denom;
     params_out[i] = p;
-    if (params16_out != nullptr) params16_out[i] = FloatToHalf(p);
   }
 }
 
-void CpuAdamKernel::StepFp16Grads(int64_t step, int64_t n, const Fp16* grads16,
-                                  float* params, float* exp_avg,
-                                  float* exp_avg_sq, Fp16* params16_out,
-                                  float grad_unscale) const {
-  StepFp16GradsOut(step, n, grads16, params, exp_avg, exp_avg_sq, params,
-                   exp_avg, exp_avg_sq, params16_out, grad_unscale);
-}
-
-void CpuAdamKernel::StepFp16GradsOut(int64_t step, int64_t n,
-                                     const Fp16* grads16,
-                                     const float* params_in,
-                                     const float* exp_avg_in,
-                                     const float* exp_avg_sq_in,
-                                     float* params_out, float* exp_avg_out,
-                                     float* exp_avg_sq_out, Fp16* params16_out,
-                                     float grad_unscale) const {
-  // Each kChunk range runs the fused fp16-grad kernel: the half->float
-  // widening (+ unscale) happens in the same pass as the update instead
-  // of staging through a conversion buffer. The chunk grid matches
-  // Step's so fp16-grad updates are deterministic the same way.
-  const simd::AdamCoeffs c = MakeAdamCoeffs(config_, step);
-  const simd::KernelTable* kt = &simd::Kernels();
-  ComputeParallelFor(
-      KernelCost::kAdam, kAdamOpsPerElement * n, 0, n, kChunk,
-      [&](int64_t b, int64_t e) {
-        kt->adam_step_f16(c, e - b, grads16 + b, grad_unscale, params_in + b,
-                          exp_avg_in + b, exp_avg_sq_in + b, params_out + b,
-                          exp_avg_out + b, exp_avg_sq_out + b,
-                          params16_out != nullptr ? params16_out + b : nullptr);
-      });
-}
-
-void CpuAdamKernel::StepFp16GradsChunksOut(
-    int64_t step, int64_t n, const Fp16* grads16,
-    const std::vector<int64_t>& chunks, int64_t chunk, const float* params_in,
-    const float* exp_avg_in, const float* exp_avg_sq_in, float* params_out,
-    float* exp_avg_out, float* exp_avg_sq_out, Fp16* params16_out,
-    float grad_unscale) const {
+void CpuAdamKernel::StepChunks(int64_t step, int64_t n, const Fp16* grads16,
+                               const std::vector<int64_t>& chunks,
+                               int64_t chunk, const float* params_in,
+                               const float* exp_avg_in,
+                               const float* exp_avg_sq_in, float* params_out,
+                               float* exp_avg_out, float* exp_avg_sq_out,
+                               float grad_unscale) const {
   RATEL_CHECK(chunk >= 1 && chunk <= kChunk);
-  // Each listed chunk is one unit of parallel work; the output ranges
-  // are disjoint and each chunk runs the serial reference internally,
-  // so the result is bitwise independent of the thread count and of how
-  // the chunks are spread across calls.
+  // Each listed chunk is one unit of parallel work and runs the fused
+  // fp16-grad kernel (half->float widening + unscale in the update
+  // pass). The output ranges are disjoint and the simd kernels are
+  // bitwise identical to StepSerialOut in both backends (see
+  // simd/simd.h), so the result is independent of the thread count and
+  // of how the chunks are spread across calls.
   const int64_t count = static_cast<int64_t>(chunks.size());
+  // The dispatch cost counts the elements actually covered: a ragged
+  // last chunk is shorter than `chunk`.
+  int64_t covered = 0;
+  for (int64_t c : chunks) {
+    RATEL_CHECK(c >= 0 && c * chunk < n);
+    covered += std::min(chunk, n - c * chunk);
+  }
   const simd::AdamCoeffs co = MakeAdamCoeffs(config_, step);
   const simd::KernelTable* kt = &simd::Kernels();
   ComputeParallelFor(
-      KernelCost::kAdam, kAdamOpsPerElement * count * chunk, 0, count, 1,
+      KernelCost::kAdam, kAdamOpsPerElement * covered, 0, count, 1,
       [&](int64_t cb, int64_t ce) {
         for (int64_t c = cb; c < ce; ++c) {
           const int64_t b = chunks[static_cast<size_t>(c)] * chunk;
-          RATEL_CHECK(b >= 0 && b < n);
           const int64_t len = std::min(chunk, n - b);
-          kt->adam_step_f16(
-              co, len, grads16 + b, grad_unscale, params_in + b,
-              exp_avg_in + b, exp_avg_sq_in + b, params_out + b,
-              exp_avg_out + b, exp_avg_sq_out + b,
-              params16_out != nullptr ? params16_out + b : nullptr);
+          kt->adam_step_f16(co, len, grads16 + b, grad_unscale, params_in + b,
+                            exp_avg_in + b, exp_avg_sq_in + b, params_out + b,
+                            exp_avg_out + b, exp_avg_sq_out + b);
         }
       });
 }
@@ -193,8 +148,7 @@ ChunkPartition PartitionChunksByImportance(int64_t n, const Fp16* grads16,
         std::ceil(hot_fraction * static_cast<double>(num_chunks)));
     hot_count = std::max<int64_t>(1, std::min(hot_count, num_chunks));
   }
-  std::vector<int64_t> order(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) order[static_cast<size_t>(c)] = c;
+  std::vector<int64_t> order = CpuAdamKernel::AllChunks(n, chunk);
   // Total order (magnitude desc, index asc): ties cannot reshuffle, so
   // the top-k set is a pure function of the gradients.
   std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
@@ -224,8 +178,7 @@ Status ChunkedCpuAdam::Register(const std::string& name,
 }
 
 Status ChunkedCpuAdam::StepTensor(const std::string& name,
-                                  const std::vector<Fp16>& grads16,
-                                  std::vector<Fp16>* params16_out) {
+                                  const std::vector<Fp16>& grads16) {
   auto it = states_.find(name);
   if (it == states_.end()) {
     return Status::NotFound("tensor '" + name + "' not registered");
@@ -238,11 +191,11 @@ Status ChunkedCpuAdam::StepTensor(const std::string& name,
         name + "'");
   }
   st.step += 1;
-  if (params16_out != nullptr) params16_out->resize(st.params.size());
-  kernel_.StepFp16Grads(
-      st.step, static_cast<int64_t>(st.params.size()), grads16.data(),
-      st.params.data(), st.exp_avg.data(), st.exp_avg_sq.data(),
-      params16_out != nullptr ? params16_out->data() : nullptr);
+  const int64_t n = static_cast<int64_t>(st.params.size());
+  kernel_.StepChunks(st.step, n, grads16.data(), CpuAdamKernel::AllChunks(n),
+                     CpuAdamKernel::kChunk, st.params.data(),
+                     st.exp_avg.data(), st.exp_avg_sq.data(), st.params.data(),
+                     st.exp_avg.data(), st.exp_avg_sq.data());
   return Status::Ok();
 }
 

@@ -20,20 +20,13 @@ struct AdamConfig {
   double weight_decay = 0.0;
 };
 
-/// The out-of-core CPU Adam kernel (Section II "CPU Optimizer").
-///
-/// Updates fp32 master parameters and moments from gradients, and emits
-/// the fp16 parameter copy (P16) the GPU consumes next iteration — the
-/// exact producer/consumer contract of Table II. The parallel paths run
-/// the fused simd Adam kernels (simd::Kernels — 8-wide AVX2 or scalar,
-/// both bitwise identical to `StepSerialOut`, the plain-loop reference
-/// kept here); the kernel stays deliberately chunk-oriented so the
-/// active gradient offloading pipeline (Section IV-C) can invoke it per
-/// arriving gradient tensor. `Step` fans the update out over the shared
-/// ComputePool in fixed 4096-element chunks; because the update is
-/// purely elementwise the result is bitwise identical to `StepSerial`
-/// at any thread count, for any chunk grouping, in either RATEL_SIMD
-/// mode.
+/// The out-of-core CPU Adam kernel (Section II "CPU Optimizer"): updates
+/// fp32 master parameters and moments from the fp16 gradients (G16) the
+/// GPU produces. It writes P32 + OS32 only; the forward fetch derives the
+/// fp16 copy (P16) from P32. `StepChunks` is the one update entry point
+/// — sync mode's whole-tensor step and the deferred pipeline's hot/tail
+/// halves (Section IV-C, Fig. 3) are all chunk lists over one grid — and
+/// `StepSerialOut` is the plain-loop reference the tests pin it against.
 class CpuAdamKernel {
  public:
   /// Elements per parallel chunk. Chunk boundaries depend only on `n`,
@@ -42,68 +35,39 @@ class CpuAdamKernel {
 
   explicit CpuAdamKernel(const AdamConfig& config) : config_(config) {}
 
-  /// One Adam step over a contiguous chunk, parallel over the kChunk
-  /// grid. `step` is the 1-based global step count used for bias
-  /// correction. All arrays hold `n` elements. `params16_out` may be
-  /// null when no fp16 copy is needed.
-  void Step(int64_t step, int64_t n, const float* grads, float* params,
-            float* exp_avg, float* exp_avg_sq, Fp16* params16_out) const;
+  /// The indices of every chunk of the `chunk`-element grid over [0, n),
+  /// ascending: the chunk list of a whole-tensor step.
+  static std::vector<int64_t> AllChunks(int64_t n, int64_t chunk = kChunk);
 
-  /// Single-threaded reference implementation of `Step`; the
-  /// determinism suite asserts the parallel path matches it bitwise.
-  void StepSerial(int64_t step, int64_t n, const float* grads, float* params,
-                  float* exp_avg, float* exp_avg_sq,
-                  Fp16* params16_out) const;
-
-  /// Out-of-place form of `StepSerial`: reads state from the `_in`
-  /// arrays and writes the updated state to the `_out` arrays. Each
-  /// `_out` pointer may alias its `_in` counterpart (the in-place
-  /// methods call this with aliased pointers, so the arithmetic — and
-  /// hence the bitwise result — is identical either way). Distinct
-  /// in/out lets callers read from *shared immutable* buffers (a DRAM
-  /// cache hit) and write into freshly leased ones.
+  /// Single-threaded plain-loop reference with fp32 gradients: reads
+  /// state from the `_in` arrays and writes the updated state to the
+  /// `_out` arrays, `n` elements each. `step` is the 1-based global step
+  /// count used for bias correction. Each `_out` pointer may alias its
+  /// `_in` counterpart (an in-place step).
   void StepSerialOut(int64_t step, int64_t n, const float* grads,
                      const float* params_in, const float* exp_avg_in,
                      const float* exp_avg_sq_in, float* params_out,
-                     float* exp_avg_out, float* exp_avg_sq_out,
-                     Fp16* params16_out) const;
+                     float* exp_avg_out, float* exp_avg_sq_out) const;
 
-  /// Same, with fp16 gradients (the G16 tensors arriving from the GPU).
-  /// `grad_unscale` multiplies each gradient after conversion — the
-  /// inverse of the mixed-precision loss scale applied before the fp16
-  /// cast.
-  void StepFp16Grads(int64_t step, int64_t n, const Fp16* grads16,
-                     float* params, float* exp_avg, float* exp_avg_sq,
-                     Fp16* params16_out, float grad_unscale = 1.0f) const;
-
-  /// Out-of-place form of `StepFp16Grads`, parallel over the same
-  /// kChunk grid (bitwise identical to the in-place path at any thread
-  /// count; `_out` may alias `_in` as in StepSerialOut).
-  void StepFp16GradsOut(int64_t step, int64_t n, const Fp16* grads16,
-                        const float* params_in, const float* exp_avg_in,
-                        const float* exp_avg_sq_in, float* params_out,
-                        float* exp_avg_out, float* exp_avg_sq_out,
-                        Fp16* params16_out, float grad_unscale = 1.0f) const;
-
-  /// Partitioned out-of-place step: applies only the listed chunks of
-  /// the `chunk`-element grid over [0, n), leaving every other element
-  /// of the `_out` arrays untouched. Because the Adam update is purely
-  /// elementwise, applying a tensor's chunks across several calls (hot
-  /// now, tail later) with the same `step`/grads/`_in` state yields
-  /// bitwise exactly the full-tensor result — the contract the deferred
-  /// update pipeline builds on. Chunk indices must be in-range and
-  /// distinct; `chunk` must be in [1, kChunk]. Parallel over the chunk
-  /// list, deterministic at any thread count (disjoint output ranges).
-  void StepFp16GradsChunksOut(int64_t step, int64_t n, const Fp16* grads16,
-                              const std::vector<int64_t>& chunks,
-                              int64_t chunk, const float* params_in,
-                              const float* exp_avg_in,
-                              const float* exp_avg_sq_in, float* params_out,
-                              float* exp_avg_out, float* exp_avg_sq_out,
-                              Fp16* params16_out,
-                              float grad_unscale = 1.0f) const;
-
-  const AdamConfig& config() const { return config_; }
+  /// The update: one out-of-place Adam step from fp16 gradients, applied
+  /// to the listed chunks of the `chunk`-element grid over [0, n) only;
+  /// every other element of the `_out` arrays is left untouched. Each
+  /// gradient is widened and multiplied by `grad_unscale` (the inverse
+  /// of the mixed-precision loss scale) in the same pass. `_out` may
+  /// alias `_in`; distinct arrays let callers read shared immutable
+  /// buffers (a DRAM cache hit) and write freshly leased ones. The fused
+  /// simd kernel is bitwise StepSerialOut in either RATEL_SIMD mode, and
+  /// the update is elementwise, so applying a tensor's chunks across
+  /// several calls (hot now, tail later) with the same `step`/grads/`_in`
+  /// state yields bitwise the full-tensor result at any thread count.
+  /// Chunk indices must be in range and distinct; `chunk` must be in
+  /// [1, kChunk]. Parallel over the chunk list on the shared ComputePool.
+  void StepChunks(int64_t step, int64_t n, const Fp16* grads16,
+                  const std::vector<int64_t>& chunks, int64_t chunk,
+                  const float* params_in, const float* exp_avg_in,
+                  const float* exp_avg_sq_in, float* params_out,
+                  float* exp_avg_out, float* exp_avg_sq_out,
+                  float grad_unscale = 1.0f) const;
 
  private:
   AdamConfig config_;
@@ -134,9 +98,9 @@ ChunkPartition PartitionChunksByImportance(int64_t n, const Fp16* grads16,
                                            float grad_unscale = 1.0f);
 
 /// Optimizer state (P32 + OS32) for a collection of named parameter
-/// tensors, updated tensor-by-tensor. This is the "CPU optimizer buffer"
-/// of Fig. 1c: the active-gradient-offloading pipeline streams model-state
-/// chunks through it.
+/// tensors, held in RAM and updated tensor-by-tensor — the "CPU optimizer
+/// buffer" of Fig. 1c. It is the in-memory reference the out-of-core
+/// AsyncUpdateEngine is pinned against bitwise.
 class ChunkedCpuAdam {
  public:
   explicit ChunkedCpuAdam(const AdamConfig& config) : kernel_(config) {}
@@ -145,10 +109,9 @@ class ChunkedCpuAdam {
   /// given fp32 values (moments start at zero).
   Status Register(const std::string& name, std::vector<float> initial_params);
 
-  /// Applies one Adam update for `name` from fp16 gradients and returns
-  /// the refreshed fp16 parameter copy. Advances this tensor's step count.
-  Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16,
-                    std::vector<Fp16>* params16_out);
+  /// Applies one Adam update for `name` from fp16 gradients. Advances
+  /// this tensor's step count.
+  Status StepTensor(const std::string& name, const std::vector<Fp16>& grads16);
 
   /// Read access for tests/checkpointing.
   Result<const std::vector<float>*> MasterParams(const std::string& name) const;

@@ -203,13 +203,10 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
     step = meta->step;
     n = meta->size;
   }
-  if (!options_.async || n == 0) {
-    return StepTensorSync(meta, name, step, n, grads16, grad_unscale);
-  }
-
   // SSD -> Main: stream P32 + OS32 (12 bytes/param) concurrently and
   // wait the set as one batch — the three reads hit independent stripes
-  // and their latencies overlap. DRAM-hot tensors arrive as cache refs.
+  // and their latencies overlap. DRAM-hot tensors arrive as cache refs
+  // (no copy at all), cold ones land in pooled staging.
   Buffer p32_in, m_in, v_in;
   const std::vector<TransferEngine::Ticket> reads = {
       engine_->SubmitRead(FlowClass::kGradState, P32Key(name), &p32_in, 4 * n),
@@ -218,33 +215,52 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
   };
   RATEL_RETURN_IF_ERROR(engine_->WaitAll(reads));
 
-  // Fixed-boundary hot/tail split: a pure function of the gradients, so
-  // async runs are bitwise reproducible at any thread count.
-  ChunkPartition part = PartitionChunksByImportance(
-      n, grads16.data(), options_.hot_fraction, options_.chunk, grad_unscale);
-
-  // Hot chunks run on the critical path, out-of-place into freshly
-  // leased buffers that stay private (unpublished) until the epoch has
-  // filled in the tail — no reader can ever observe a half-applied
-  // update.
+  // CPU compute: the Adam handler, one kernel for both modes. Sync mode
+  // applies every chunk of the kernel's grid now; async mode applies the
+  // hot chunks of a gradient-magnitude split (fixed boundaries, a pure
+  // function of the gradients, so reproducible at any thread count).
+  // The inputs are published (possibly shared with the DRAM tier), so
+  // the kernel writes out-of-place into leased buffers that stay
+  // private until every chunk is applied: no reader can observe a
+  // half-applied update. The kernel fans out on the shared ComputePool,
+  // never on the TransferEngine's I/O workers.
+  const bool deferred = options_.async && n > 0;
+  ChunkPartition part;
+  if (deferred) {
+    part = PartitionChunksByImportance(n, grads16.data(),
+                                       options_.hot_fraction, options_.chunk,
+                                       grad_unscale);
+  } else {
+    part.hot = CpuAdamKernel::AllChunks(n);
+    part.chunk = CpuAdamKernel::kChunk;
+  }
   BufferPool& pool = engine_->buffer_pool();
   Buffer p32_out = pool.Lease(4 * n);
   Buffer m_out = pool.Lease(4 * n);
   Buffer v_out = pool.Lease(4 * n);
-  kernel_.StepFp16GradsChunksOut(
-      step, n, grads16.data(), part.hot, part.chunk,
-      reinterpret_cast<const float*>(p32_in.data()),
-      reinterpret_cast<const float*>(m_in.data()),
-      reinterpret_cast<const float*>(v_in.data()),
-      reinterpret_cast<float*>(p32_out.mutable_data()),
-      reinterpret_cast<float*>(m_out.mutable_data()),
-      reinterpret_cast<float*>(v_out.mutable_data()),
-      /*params16_out=*/nullptr, grad_unscale);
+  kernel_.StepChunks(step, n, grads16.data(), part.hot, part.chunk,
+                     reinterpret_cast<const float*>(p32_in.data()),
+                     reinterpret_cast<const float*>(m_in.data()),
+                     reinterpret_cast<const float*>(v_in.data()),
+                     reinterpret_cast<float*>(p32_out.mutable_data()),
+                     reinterpret_cast<float*>(m_out.mutable_data()),
+                     reinterpret_cast<float*>(v_out.mutable_data()),
+                     grad_unscale);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.hot_chunks += static_cast<int64_t>(part.hot.size());
-    stats_.tail_chunks += static_cast<int64_t>(part.tail.size());
+  if (!deferred) {
+    p32_in.reset();  // return read staging to the pool before writeback
+    m_in.reset();
+    v_in.reset();
+    // Main -> SSD: write back P32 + OS32 (12 bytes/param), zero-copy —
+    // each leased buffer is published once and shared by the DRAM tier
+    // and the store write. Not waited here: the tickets go to the
+    // tensor's gate, so the handler's pipeline thread is free for the
+    // next tensor while the write channel drains this one. The tensor's
+    // next fetch/step/export drains first (durably without a DRAM
+    // tier), and the trainer ends each sync step with DrainAll.
+    WriteBack(meta, name, FlowClass::kGradState, std::move(p32_out),
+              std::move(m_out), std::move(v_out));
+    return Status::Ok();
   }
 
   // A degenerate split (single-chunk tensor or hot_fraction >= 1)
@@ -255,6 +271,8 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
   // queue critical writes behind the deferred backlog every step.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    stats_.hot_chunks += static_cast<int64_t>(part.hot.size());
+    stats_.tail_chunks += static_cast<int64_t>(part.tail.size());
     meta->epoch_pending = true;
     ++stats_.deferred_epochs;
   }
@@ -265,52 +283,39 @@ Status AsyncUpdateEngine::StepTensor(const std::string& name,
                    m_in = std::move(m_in), v_in = std::move(v_in),
                    p32_out = std::move(p32_out), m_out = std::move(m_out),
                    v_out = std::move(v_out), grad_unscale]() mutable {
-    RunEpoch(meta, name, step, n, std::move(grads), std::move(part),
-             std::move(p32_in), std::move(m_in), std::move(v_in),
-             std::move(p32_out), std::move(m_out), std::move(v_out),
-             grad_unscale);
+    // Epoch workers run outside any caller tenant scope; attribute their
+    // deferred writebacks to the optimizer's own tenant.
+    ScopedTenant tenant_scope(options_.tenant);
+    // Clock the epoch's useful work only — WriteBack's same-key ordering
+    // wait idles on the channel and would double-count its drain across
+    // workers.
+    const auto start = std::chrono::steady_clock::now();
+    // Apply the deferred tail with the exact (step, grads, state) inputs
+    // of the foreground's hot pass — elementwise Adam makes the combined
+    // result bitwise identical to a single full-tensor step.
+    kernel_.StepChunks(step, n, grads.data(), part.tail, part.chunk,
+                       reinterpret_cast<const float*>(p32_in.data()),
+                       reinterpret_cast<const float*>(m_in.data()),
+                       reinterpret_cast<const float*>(v_in.data()),
+                       reinterpret_cast<float*>(p32_out.mutable_data()),
+                       reinterpret_cast<float*>(m_out.mutable_data()),
+                       reinterpret_cast<float*>(v_out.mutable_data()),
+                       grad_unscale);
+    p32_in.reset();  // return read staging to the pool before writeback
+    m_in.reset();
+    v_in.reset();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.background_seconds += SecondsSince(start);
+    }
+    // Main -> SSD off the critical path: publish P32 + OS32 (12
+    // bytes/param) as background kDeferredState traffic — a
+    // latency-critical param fetch can always overtake these in the
+    // scheduler. Publishing also clears epoch_pending.
+    WriteBack(meta, name, FlowClass::kDeferredState, std::move(p32_out),
+              std::move(m_out), std::move(v_out));
   });
   return Status::Ok();
-}
-
-void AsyncUpdateEngine::RunEpoch(TensorMeta* meta, const std::string& name,
-                                 int64_t step, int64_t n,
-                                 std::vector<Fp16> grads16, ChunkPartition part,
-                                 Buffer p32_in, Buffer m_in, Buffer v_in,
-                                 Buffer p32_out, Buffer m_out, Buffer v_out,
-                                 float grad_unscale) {
-  // Epoch workers run outside any caller tenant scope; attribute their
-  // deferred writebacks to the optimizer's own tenant.
-  ScopedTenant tenant_scope(options_.tenant);
-  // Clock the epoch's useful work only — WriteBack's same-key ordering
-  // wait idles on the channel and would double-count its drain across
-  // workers.
-  const auto start = std::chrono::steady_clock::now();
-  // Apply the deferred tail with the exact (step, grads, state) inputs
-  // of the foreground's hot pass — elementwise Adam makes the combined
-  // result bitwise identical to a single full-tensor step.
-  kernel_.StepFp16GradsChunksOut(
-      step, n, grads16.data(), part.tail, part.chunk,
-      reinterpret_cast<const float*>(p32_in.data()),
-      reinterpret_cast<const float*>(m_in.data()),
-      reinterpret_cast<const float*>(v_in.data()),
-      reinterpret_cast<float*>(p32_out.mutable_data()),
-      reinterpret_cast<float*>(m_out.mutable_data()),
-      reinterpret_cast<float*>(v_out.mutable_data()),
-      /*params16_out=*/nullptr, grad_unscale);
-  p32_in.reset();  // return read staging to the pool before writeback
-  m_in.reset();
-  v_in.reset();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.background_seconds += SecondsSince(start);
-  }
-  // Main -> SSD off the critical path: publish P32 + OS32 (12
-  // bytes/param) as background kDeferredState traffic — a
-  // latency-critical param fetch can always overtake these in the
-  // scheduler. Publishing also clears epoch_pending.
-  WriteBack(meta, name, FlowClass::kDeferredState, std::move(p32_out),
-            std::move(m_out), std::move(v_out));
 }
 
 void AsyncUpdateEngine::WriteBack(TensorMeta* meta, const std::string& name,
@@ -377,59 +382,6 @@ void AsyncUpdateEngine::WriteBack(TensorMeta* meta, const std::string& name,
   }
   epoch_cv_.notify_all();
   reaper_cv_.notify_all();
-}
-
-Status AsyncUpdateEngine::StepTensorSync(TensorMeta* meta,
-                                         const std::string& name, int64_t step,
-                                         int64_t n,
-                                         const std::vector<Fp16>& grads16,
-                                         float grad_unscale) {
-  // SSD -> Main: stream P32 + OS32 (12 bytes/param) concurrently, the
-  // set waited as one batch so the three miss latencies overlap. The
-  // reads hit independent stripes; DRAM-hot tensors arrive as cache
-  // refs (no copy at all), cold ones land in pooled staging.
-  Buffer p32_in, m_in, v_in;
-  const std::vector<TransferEngine::Ticket> reads = {
-      engine_->SubmitRead(FlowClass::kGradState, P32Key(name), &p32_in, 4 * n),
-      engine_->SubmitRead(FlowClass::kGradState, MomKey(name), &m_in, 4 * n),
-      engine_->SubmitRead(FlowClass::kGradState, VarKey(name), &v_in, 4 * n),
-  };
-  RATEL_RETURN_IF_ERROR(engine_->WaitAll(reads));
-
-  // CPU compute: the Adam handler. No fp16 copy is emitted — the
-  // forward fetch derives it from P32 (FetchParams16). The inputs are
-  // published (possibly shared with the DRAM tier), so the
-  // kernel runs out-of-place into freshly leased buffers — same chunk
-  // grid, bitwise-identical arithmetic. The kernel fans out on the
-  // shared ComputePool; the SSD read/writeback stages above and below
-  // stay on the TransferEngine's own I/O workers, so compute and I/O
-  // threads never compete.
-  BufferPool& pool = engine_->buffer_pool();
-  Buffer p32_out = pool.Lease(4 * n);
-  Buffer m_out = pool.Lease(4 * n);
-  Buffer v_out = pool.Lease(4 * n);
-  kernel_.StepFp16GradsOut(
-      step, n, grads16.data(), reinterpret_cast<const float*>(p32_in.data()),
-      reinterpret_cast<const float*>(m_in.data()),
-      reinterpret_cast<const float*>(v_in.data()),
-      reinterpret_cast<float*>(p32_out.mutable_data()),
-      reinterpret_cast<float*>(m_out.mutable_data()),
-      reinterpret_cast<float*>(v_out.mutable_data()),
-      /*params16_out=*/nullptr, grad_unscale);
-  p32_in.reset();  // return read staging to the pool before writeback
-  m_in.reset();
-  v_in.reset();
-
-  // Main -> SSD: write back P32 + OS32 (12 bytes/param),
-  // zero-copy — each leased buffer is published once and shared by the
-  // DRAM tier and the store write. Not waited here: the tickets go to
-  // the tensor's gate, so the handler's pipeline thread is free for the
-  // next tensor while the write channel drains this one. The tensor's
-  // next fetch/step/export drains first (durably without a DRAM tier),
-  // and the trainer ends each sync step with DrainAll.
-  WriteBack(meta, name, FlowClass::kGradState, std::move(p32_out),
-            std::move(m_out), std::move(v_out));
-  return Status::Ok();
 }
 
 Result<int64_t> AsyncUpdateEngine::DrainedSize(const std::string& name,

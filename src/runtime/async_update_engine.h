@@ -67,18 +67,19 @@ struct AsyncUpdateOptions {
 ///
 /// One StepTensor contract for both modes: it returns once the update's
 /// writebacks are *submitted*, and every consumer of the tensor drains
-/// first (see the staleness bound below). The modes differ only in how
-/// much of the update runs before the return.
+/// first (see the staleness bound below). Both modes run one kernel,
+/// CpuAdamKernel::StepChunks, over a chunk list; they differ only in how
+/// many chunks run before the return.
 ///
 /// P32 is the only parameter blob in the store: the fp16 copy (P16) the
 /// forward pass consumes is derived from it at fetch (FetchParams16), so
 /// an update writes back P32 and both moments, 12 bytes/param.
 ///
 /// Sync mode (default): StepTensor reads the state (waited as one
-/// batch), applies the full update inline, and submits the three
-/// writebacks as FlowClass::kGradState. It does not wait for them: the
-/// tickets go to the tensor's gate and the reaper, exactly as a
-/// deferred epoch's do, so a pipeline thread moves on to the next
+/// batch), applies every chunk of the kernel's grid inline, and submits
+/// the three writebacks as FlowClass::kGradState. It does not wait for
+/// them: the tickets go to the tensor's gate and the reaper, exactly as
+/// a deferred epoch's do, so a pipeline thread moves on to the next
 /// tensor while the write channel drains this one — the overlapped
 /// SSD->Main / Main->SSD handler pipeline of Fig. 3b. Callers that need
 /// the classic one-tensor-at-a-time handler (Fig. 3a) follow StepTensor
@@ -258,18 +259,6 @@ class AsyncUpdateEngine {
   std::string P32Key(const std::string& name) const;
   std::string MomKey(const std::string& name) const;
   std::string VarKey(const std::string& name) const;
-
-  /// The full inline step (sync mode): reads waited as one batch,
-  /// writebacks handed to WriteBack.
-  Status StepTensorSync(TensorMeta* meta, const std::string& name,
-                        int64_t step, int64_t n,
-                        const std::vector<Fp16>& grads16, float grad_unscale);
-
-  /// The body of one deferred epoch (runs on the background pool).
-  void RunEpoch(TensorMeta* meta, const std::string& name, int64_t step,
-                int64_t n, std::vector<Fp16> grads16, ChunkPartition part,
-                Buffer p32_in, Buffer m_in, Buffer v_in, Buffer p32_out,
-                Buffer m_out, Buffer v_out, float grad_unscale);
 
   /// Submits `name`'s three blobs as `flow` writes and publishes them:
   /// pins them in the DRAM tier when one exists (else the tensor's

@@ -45,13 +45,26 @@ Status ReadBytes(std::FILE* f, void* data, size_t n) {
   return Status::Ok();
 }
 
+// Bytes between the read position and the end of `f` (0 when unknown).
+// Decoders bound every length field by it before allocating, so a
+// corrupt or hostile length is a Status, never a huge allocation.
+uint64_t BytesLeft(std::FILE* f) {
+  const long pos = std::ftell(f);
+  struct stat st;
+  if (pos < 0 || ::fstat(::fileno(f), &st) != 0 || st.st_size < pos) return 0;
+  return static_cast<uint64_t>(st.st_size - pos);
+}
+
 }  // namespace
 
 Status Save(AsyncUpdateEngine& adam, const std::vector<std::string>& names,
             const std::string& path) {
-  // Barrier: any state writeback still queued behind the engine must
-  // land before the master copies are read out.
-  RATEL_RETURN_IF_ERROR(adam.engine().Drain());
+  // Barrier: every update of every tensor — sync writebacks and
+  // deferred epochs alike — must have landed before the master copies
+  // are read out. This waits through the optimizer, which owns the
+  // write tickets: draining the engine underneath it would consume the
+  // tickets its reaper is about to wait on.
+  RATEL_RETURN_IF_ERROR(adam.DrainAll());
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return Status::IoError("cannot open '" + path + "' for writing");
   RATEL_RETURN_IF_ERROR(WriteBytes(f.get(), kMagic, sizeof(kMagic)));
@@ -89,6 +102,11 @@ Result<std::vector<Entry>> Load(const std::string& path) {
   }
   uint32_t count = 0;
   RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), &count, sizeof(count)));
+  // Each entry holds at least its name length and element count.
+  if (count > BytesLeft(f.get()) / (sizeof(uint32_t) + sizeof(uint64_t))) {
+    return Status::InvalidArgument(
+        "corrupt checkpoint: tensor count exceeds the file");
+  }
   std::vector<Entry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -102,8 +120,9 @@ Result<std::vector<Entry>> Load(const std::string& path) {
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), e.name.data(), name_len));
     uint64_t n = 0;
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), &n, sizeof(n)));
-    if (n > (uint64_t{1} << 34)) {
-      return Status::InvalidArgument("corrupt checkpoint: tensor too large");
+    if (n > BytesLeft(f.get()) / sizeof(float)) {
+      return Status::InvalidArgument(
+          "corrupt checkpoint: tensor exceeds the file");
     }
     e.values.resize(n);
     RATEL_RETURN_IF_ERROR(ReadBytes(f.get(), e.values.data(), 4 * n));
@@ -203,7 +222,7 @@ void FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-Status SaveStateViews(const TrainStateView& state, const std::string& path) {
+Status SaveState(const TrainStateView& state, const std::string& path) {
   // Shadow write + atomic publish: the published name never refers to a
   // partially written file. Shard payloads stream straight from the
   // caller's (possibly engine-shared) buffers — no staging vectors.
@@ -247,27 +266,6 @@ Status SaveStateViews(const TrainStateView& state, const std::string& path) {
   return Status::Ok();
 }
 
-Status SaveState(const TrainState& state, const std::string& path) {
-  TrainStateView view;
-  view.step = state.step;
-  view.tensors.reserve(state.tensors.size());
-  for (const TensorState& t : state.tensors) {
-    if (t.m.size() != t.p32.size() || t.v.size() != t.p32.size()) {
-      return Status::InvalidArgument("tensor '" + t.name +
-                                     "' has mismatched state sizes");
-    }
-    TensorStateView v;
-    v.name = t.name;
-    v.adam_step = t.adam_step;
-    v.p32 = t.p32.data();
-    v.m = t.m.data();
-    v.v = t.v.data();
-    v.n = static_cast<int64_t>(t.p32.size());
-    view.tensors.push_back(std::move(v));
-  }
-  return SaveStateViews(view, path);
-}
-
 Result<TrainState> LoadState(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::NotFound("cannot open '" + path + "'");
@@ -288,6 +286,13 @@ Result<TrainState> LoadState(const std::string& path) {
   uint32_t count = 0;
   RATEL_RETURN_IF_ERROR(r.Read(&count, sizeof(count)));
   RATEL_RETURN_IF_ERROR(r.VerifyCrc("header"));
+  // Each shard holds at least its name length, element count, Adam
+  // step and CRC.
+  constexpr uint64_t kMinShardBytes = 4 + 8 + 8 + 4;
+  if (count > BytesLeft(f.get()) / kMinShardBytes) {
+    return Status::DataLoss("checkpoint '" + path +
+                            "': tensor count exceeds the file");
+  }
   TrainState state;
   state.step = static_cast<int64_t>(step);
   state.tensors.reserve(count);
@@ -302,8 +307,13 @@ Result<TrainState> LoadState(const std::string& path) {
     RATEL_RETURN_IF_ERROR(r.Read(t.name.data(), name_len));
     uint64_t n = 0;
     RATEL_RETURN_IF_ERROR(r.Read(&n, sizeof(n)));
-    if (n > (uint64_t{1} << 34)) {
-      return Status::DataLoss("checkpoint '" + path + "': tensor too large");
+    // The Adam step, three fp32 arrays and the shard CRC must still fit:
+    // a length the file cannot hold is corrupt, and is caught here, not
+    // by an allocation the CRC check would come too late to prevent.
+    const uint64_t left = BytesLeft(f.get());
+    if (left < 8 + 4 || n > (left - 8 - 4) / 12) {
+      return Status::DataLoss("checkpoint '" + path +
+                              "': tensor exceeds the file");
     }
     uint64_t adam_step = 0;
     RATEL_RETURN_IF_ERROR(r.Read(&adam_step, sizeof(adam_step)));
@@ -324,19 +334,11 @@ std::string VersionedPath(const std::string& dir, int64_t step) {
   return dir + "/step_" + std::to_string(step) + ".ckpt";
 }
 
-Status SaveVersioned(const std::string& dir, const TrainState& state) {
+Status SaveVersioned(const std::string& dir, const TrainStateView& state) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IoError("mkdir '" + dir + "': " + std::strerror(errno));
   }
   return SaveState(state, VersionedPath(dir, state.step));
-}
-
-Status SaveVersionedViews(const std::string& dir,
-                          const TrainStateView& state) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IoError("mkdir '" + dir + "': " + std::strerror(errno));
-  }
-  return SaveStateViews(state, VersionedPath(dir, state.step));
 }
 
 Result<TrainState> LoadLatest(const std::string& dir) {

@@ -60,10 +60,10 @@ struct TrainState {
   std::vector<TensorState> tensors;
 };
 
-/// Non-owning view of one tensor's complete optimizer state — the
-/// zero-copy analogue of TensorState. The pointed-at arrays (typically
-/// published Buffer refs from AsyncUpdateEngine::ExportStateBuffers) must
-/// stay alive until the save call returns; all three hold `n` floats.
+/// Non-owning view of one tensor's complete optimizer state — what the
+/// writer takes. The pointed-at arrays (typically published Buffer refs
+/// from AsyncUpdateEngine::ExportStateBuffers) must stay alive until
+/// the save call returns; all three hold `n` floats.
 struct TensorStateView {
   std::string name;
   int64_t adam_step = 0;
@@ -83,13 +83,9 @@ struct TrainStateView {
 /// `path + ".tmp"`, are flushed and fsync'd, then the shadow file is
 /// atomically renamed over `path`. A crash at any point leaves either
 /// the previous checkpoint or the complete new one — never a torn mix
-/// under the published name.
-Status SaveState(const TrainState& state, const std::string& path);
-
-/// SaveState over views: shard payloads stream from the caller's
-/// buffers straight into the file — no staging vectors. SaveState is a
-/// thin wrapper over this.
-Status SaveStateViews(const TrainStateView& state, const std::string& path);
+/// under the published name. Shard payloads stream from the viewed
+/// buffers straight into the file — no staging vectors.
+Status SaveState(const TrainStateView& state, const std::string& path);
 
 /// Reads a v2 checkpoint, verifying the header and every shard CRC.
 /// Truncation or corruption returns kDataLoss (callers fall back to an
@@ -101,11 +97,7 @@ std::string VersionedPath(const std::string& dir, int64_t step);
 
 /// Writes `state` as `dir/step_<state.step>.ckpt` (SaveState semantics;
 /// `dir` is created if absent).
-Status SaveVersioned(const std::string& dir, const TrainState& state);
-
-/// SaveVersioned over views (no staging vectors).
-Status SaveVersionedViews(const std::string& dir,
-                          const TrainStateView& state);
+Status SaveVersioned(const std::string& dir, const TrainStateView& state);
 
 /// Loads the newest valid checkpoint in `dir`, skipping files that fail
 /// verification (a torn latest checkpoint falls back to the previous

@@ -123,6 +123,9 @@ Status RatelTrainer::Initialize() {
   update_opts.tenant = options_.tenant;
   update_opts.key_namespace = options_.key_namespace;
   update_opts = AsyncUpdateOptions::FromEnv(update_opts);
+  if (std::isnan(update_opts.hot_fraction)) {
+    return Status::InvalidArgument("async hot fraction is NaN");
+  }
   adam_ = std::make_unique<AsyncUpdateEngine>(options_.adam, engine_,
                                               update_opts);
   for (auto& [name, var] : model_->parameters()) {
@@ -607,9 +610,10 @@ Status RatelTrainer::SaveCheckpoint(const std::string& dir) {
   // Barrier: every deferred tail epoch must have applied and published,
   // and every queued writeback must land, before state is read out —
   // or the snapshot would mix step N and step N-1 tensors (or worse,
-  // a half-applied one).
+  // a half-applied one). It fences this trainer's optimizer only: an
+  // engine-wide drain would consume write tickets that other tenants of
+  // a shared engine have yet to wait on.
   RATEL_RETURN_IF_ERROR(adam_->DrainAll());
-  RATEL_RETURN_IF_ERROR(engine_->Drain());
   // Zero-copy export: shard payloads are engine buffer refs (DRAM-hot
   // state costs no host copy) streamed straight into the checkpoint
   // file through the view writer. `held` keeps every buffer alive until
@@ -634,7 +638,7 @@ Status RatelTrainer::SaveCheckpoint(const std::string& dir) {
     held.push_back(std::move(v));
     state.tensors.push_back(std::move(t));
   }
-  return checkpoint::SaveVersionedViews(dir, state);
+  return checkpoint::SaveVersioned(dir, state);
 }
 
 Result<int64_t> RatelTrainer::RestoreLatestCheckpoint(const std::string& dir) {
@@ -642,12 +646,11 @@ Result<int64_t> RatelTrainer::RestoreLatestCheckpoint(const std::string& dir) {
   RATEL_ASSIGN_OR_RETURN(checkpoint::TrainState state,
                          checkpoint::LoadLatest(dir));
   for (const checkpoint::TensorState& t : state.tensors) {
+    // Waits its own writes out: the imported state is durable before
+    // the next step's fetch can observe it.
     RATEL_RETURN_IF_ERROR(
         adam_->ImportState(t.name, t.adam_step, t.p32, t.m, t.v));
   }
-  // The imported state must be durable before the next step's fetch
-  // can observe it.
-  RATEL_RETURN_IF_ERROR(engine_->Drain());
   global_step_ = state.step;
   return global_step_;
 }

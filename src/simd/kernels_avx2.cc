@@ -712,37 +712,10 @@ inline F32x8 AdamLanes(const AdamVecCoeffs& c, F32x8 g, F32x8 p, F32x8& m,
   return p - (c.step * m) / denom;
 }
 
-void AdamStepF32(const AdamCoeffs& c, int64_t n, const float* g,
-                 const float* p_in, const float* m_in, const float* v_in,
-                 float* p_out, float* m_out, float* v_out, Fp16* p16_out) {
-  const AdamVecCoeffs vc = SplatCoeffs(c);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    F32x8 m = Load(m_in + i);
-    F32x8 v = Load(v_in + i);
-    const F32x8 p = AdamLanes(vc, Load(g + i), Load(p_in + i), m, v);
-    Store(m_out + i, m);
-    Store(v_out + i, v);
-    Store(p_out + i, p);
-    if (p16_out != nullptr) NarrowHalves(p, p16_out + i);
-  }
-  if (i < n) {
-    const int64_t r = n - i;
-    F32x8 m = LoadPartial(m_in + i, r);
-    F32x8 v = LoadPartial(v_in + i, r);
-    const F32x8 p =
-        AdamLanes(vc, LoadPartial(g + i, r), LoadPartial(p_in + i, r), m, v);
-    StorePartial(m_out + i, m, r);
-    StorePartial(v_out + i, v, r);
-    StorePartial(p_out + i, p, r);
-    if (p16_out != nullptr) NarrowHalvesPartial(p, p16_out + i, r);
-  }
-}
-
 void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
                  float unscale, const float* p_in, const float* m_in,
-                 const float* v_in, float* p_out, float* m_out, float* v_out,
-                 Fp16* p16_out) {
+                 const float* v_in, float* p_out, float* m_out,
+                 float* v_out) {
   const AdamVecCoeffs vc = SplatCoeffs(c);
   const F32x8 vu = Splat(unscale);
   int64_t i = 0;
@@ -754,7 +727,6 @@ void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
     Store(m_out + i, m);
     Store(v_out + i, v);
     Store(p_out + i, p);
-    if (p16_out != nullptr) NarrowHalves(p, p16_out + i);
   }
   if (i < n) {
     const int64_t r = n - i;
@@ -765,7 +737,6 @@ void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
     StorePartial(m_out + i, m, r);
     StorePartial(v_out + i, v, r);
     StorePartial(p_out + i, p, r);
-    if (p16_out != nullptr) NarrowHalvesPartial(p, p16_out + i, r);
   }
 }
 
@@ -777,7 +748,7 @@ const KernelTable* Avx2Kernels() {
       Accumulate,    Scale,           Mul,            DiffScale,
       GeluFwd,       GeluBwd,         LayerNormRowFwd, LayerNormRowBwd,
       SoftmaxRow,    CeGradRow,       HalvesToFloats, FloatsToHalves,
-      AdamStepF32,   AdamStepF16,
+      AdamStepF16,
   };
   return &table;
 }

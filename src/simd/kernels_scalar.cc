@@ -202,30 +202,10 @@ void FloatsToHalves(const float* in, Fp16* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = FloatToHalf(in[i]);
 }
 
-void AdamStepF32(const AdamCoeffs& c, int64_t n, const float* g,
-                 const float* p_in, const float* m_in, const float* v_in,
-                 float* p_out, float* m_out, float* v_out, Fp16* p16_out) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float gi = g[i];
-    float m = m_in[i];
-    float v = v_in[i];
-    m = c.beta1 * m + c.one_minus_beta1 * gi;
-    v = c.beta2 * v + c.one_minus_beta2 * gi * gi;
-    m_out[i] = m;
-    v_out[i] = v;
-    float p = p_in[i];
-    if (c.weight_decay != 0.0f) p -= c.lr * c.weight_decay * p;
-    const float denom = std::sqrt(v) * c.inv_sqrt_bc2 + c.eps;
-    p -= c.step_size * m / denom;
-    p_out[i] = p;
-    if (p16_out != nullptr) p16_out[i] = FloatToHalf(p);
-  }
-}
-
 void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
                  float unscale, const float* p_in, const float* m_in,
-                 const float* v_in, float* p_out, float* m_out, float* v_out,
-                 Fp16* p16_out) {
+                 const float* v_in, float* p_out, float* m_out,
+                 float* v_out) {
   for (int64_t i = 0; i < n; ++i) {
     const float gi = HalfToFloat(g16[i]) * unscale;
     float m = m_in[i];
@@ -239,7 +219,6 @@ void AdamStepF16(const AdamCoeffs& c, int64_t n, const Fp16* g16,
     const float denom = std::sqrt(v) * c.inv_sqrt_bc2 + c.eps;
     p -= c.step_size * m / denom;
     p_out[i] = p;
-    if (p16_out != nullptr) p16_out[i] = FloatToHalf(p);
   }
 }
 
@@ -251,7 +230,7 @@ const KernelTable* ScalarKernels() {
       Accumulate,    Scale,           Mul,            DiffScale,
       GeluFwd,       GeluBwd,         LayerNormRowFwd, LayerNormRowBwd,
       SoftmaxRow,    CeGradRow,       HalvesToFloats, FloatsToHalves,
-      AdamStepF32,   AdamStepF16,
+      AdamStepF16,
   };
   return &table;
 }

@@ -28,7 +28,7 @@ namespace ratel::simd {
 ///    never depend on the thread count, and each chunk runs one of
 ///    these kernels start-to-finish).
 ///  - Elementwise kernels (add/scale/mul/diff_scale/accumulate, the
-///    whole Adam family, the fp16 conversions) carry a stronger
+///    Adam step, the fp16 conversions) carry a stronger
 ///    guarantee: the AVX2 path performs the exact scalar operation
 ///    sequence per element (no FMA contraction, hardware-exact fp16
 ///    conversion), so their results are bitwise identical *across
@@ -134,19 +134,14 @@ struct KernelTable {
   void (*halves_to_floats)(const Fp16* in, float* out, int64_t n, float scale);
   void (*floats_to_halves)(const float* in, Fp16* out, int64_t n);
 
-  /// Fused Adam step over [0, n): fp32 grads. `_out` may alias `_in`;
-  /// `p16_out` may be null. Bitwise identical across modes.
-  void (*adam_step_f32)(const AdamCoeffs& c, int64_t n, const float* g,
-                        const float* p_in, const float* m_in,
-                        const float* v_in, float* p_out, float* m_out,
-                        float* v_out, Fp16* p16_out);
-  /// Same with fp16 grads: the half->float widening (+ unscale) fuses
-  /// into the update pass instead of staging through a scalar
-  /// conversion buffer.
+  /// Fused Adam step over [0, n) from fp16 grads: the half->float
+  /// widening (+ unscale) fuses into the update pass instead of staging
+  /// through a conversion buffer. `_out` may alias `_in`. Bitwise
+  /// identical across modes.
   void (*adam_step_f16)(const AdamCoeffs& c, int64_t n, const Fp16* g16,
                         float unscale, const float* p_in, const float* m_in,
                         const float* v_in, float* p_out, float* m_out,
-                        float* v_out, Fp16* p16_out);
+                        float* v_out);
 };
 
 /// The active backend's kernels (resolves the mode on first use).

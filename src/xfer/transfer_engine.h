@@ -237,7 +237,10 @@ class TransferEngine {
 
   /// Blocks until every submitted transfer resolved; returns the first
   /// store-level error encountered (if any). Idempotent: draining an
-  /// already-drained engine is a no-op returning the same status.
+  /// already-drained engine is a no-op returning the same status. It
+  /// consumes every outstanding ticket — a later Wait on one returns
+  /// kInvalidArgument — so only a caller that owns every ticket in
+  /// flight may use it; an optimizer fences with its own DrainAll.
   Status Drain();
 
   /// Synchronous conveniences (submit + wait).

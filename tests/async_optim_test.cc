@@ -14,13 +14,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/transformer.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
 #include "runtime/async_update_engine.h"
@@ -38,13 +42,14 @@ std::string TempDir(const std::string& tag) {
 
 Result<std::unique_ptr<TransferEngine>> OpenEngine(
     const std::string& tag, int64_t cache_bytes = 0,
-    double write_bandwidth = 0.0) {
+    double write_bandwidth = 0.0, FaultInjector* injector = nullptr) {
   TransferOptions opts;
   opts.dir = TempDir(tag);
   opts.num_stripes = 2;
   opts.chunk_bytes = 4096;
   opts.host_cache_bytes = cache_bytes;
   opts.write_bandwidth = write_bandwidth;
+  opts.fault_injector = injector;
   return TransferEngine::Open(opts);
 }
 
@@ -188,7 +193,7 @@ TEST(AsyncOptimTest, SyncModeMatchesInMemoryChunkedAdamBitwise) {
   for (int step = 1; step <= 5; ++step) {
     const std::vector<Fp16> g = RandomGrads16(n, 100 + step);
     ASSERT_TRUE(ooc.StepTensor("w", g).ok());
-    ASSERT_TRUE(ram.StepTensor("w", g, nullptr).ok());
+    ASSERT_TRUE(ram.StepTensor("w", g).ok());
   }
   std::vector<float> master;
   ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());
@@ -273,7 +278,7 @@ TEST(AsyncOptimTest, SyncConsumersSeeTheNewStepWithoutADramTier) {
   ASSERT_TRUE(ram.Register("w", init).ok());
   for (int step = 1; step <= 3; ++step) {
     const std::vector<Fp16> g = RandomGrads16(n, 700 + step);
-    ASSERT_TRUE(ram.StepTensor("w", g, nullptr).ok());
+    ASSERT_TRUE(ram.StepTensor("w", g).ok());
     auto ref = ram.MasterParams("w");
     ASSERT_TRUE(ref.ok());
     std::vector<Fp16> ref16(n);
@@ -285,13 +290,13 @@ TEST(AsyncOptimTest, SyncConsumersSeeTheNewStepWithoutADramTier) {
     EXPECT_TRUE(BitwiseEqual16(p16, ref16)) << "step " << step;
 
     ASSERT_TRUE(ooc.StepTensor("w", g).ok());
-    ASSERT_TRUE(ram.StepTensor("w", g, nullptr).ok());
+    ASSERT_TRUE(ram.StepTensor("w", g).ok());
     std::vector<float> master;
     ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());
     EXPECT_TRUE(BitwiseEqual(master, **ref)) << "step " << step;
 
     ASSERT_TRUE(ooc.StepTensor("w", g).ok());
-    ASSERT_TRUE(ram.StepTensor("w", g, nullptr).ok());
+    ASSERT_TRUE(ram.StepTensor("w", g).ok());
     int64_t adam_step = 0;
     Buffer p32, m, v;
     ASSERT_TRUE(ooc.ExportStateBuffers("w", &adam_step, &p32, &m, &v).ok());
@@ -579,6 +584,82 @@ TEST(AsyncOptimTest, OversizedTensorsFallBackToDurableDrain) {
   EXPECT_EQ(stats.durable_fallback_epochs, stats.deferred_epochs);
 }
 
+// An async optimizer with 32 registered tensors, for the checkpoint
+// barrier tests below.
+struct ParkableOptimizer {
+  FaultInjector injector{FaultConfig{}};
+  Result<std::unique_ptr<TransferEngine>> engine;
+  std::unique_ptr<AsyncUpdateEngine> adam;
+  std::vector<std::string> names;
+
+  explicit ParkableOptimizer(const std::string& tag)
+      : engine(OpenEngine(tag, /*cache_bytes=*/1 << 20,
+                          /*write_bandwidth=*/8e6, &injector)) {
+    RATEL_CHECK(engine.ok());
+    AsyncUpdateOptions opts;
+    opts.async = true;
+    opts.chunk = 64;
+    opts.key_namespace = "a/";
+    adam = std::make_unique<AsyncUpdateEngine>(AdamConfig{}, engine->get(),
+                                               opts);
+    names.push_back("slow");
+    for (int t = 1; t < 32; ++t) names.push_back("w" + std::to_string(t));
+    for (size_t t = 0; t < names.size(); ++t) {
+      RATEL_CHECK_OK(adam->Register(names[t], RandomVec(kN, 90 + t)));
+    }
+  }
+
+  // A test that fails before the release must not hang the teardown.
+  ~ParkableOptimizer() { injector.ReleaseStalled(); }
+
+  // Steps every tensor and runs `save` while the updates are published
+  // but their writebacks still queue behind the reaper: the first
+  // tensor's P32 write is parked in an I/O worker (the reaper blocks on
+  // it) until 100 ms into the save, and every later write-set waits in
+  // the reaper's queue while its writes land on the other worker.
+  Status SaveWhileWritebacksQueued(const std::function<Status()>& save) {
+    injector.StallOpsOn(adam->MasterParamsKey(names[0]));
+    for (size_t t = 0; t < names.size(); ++t) {
+      RATEL_RETURN_IF_ERROR(
+          adam->StepTensor(names[t], RandomGrads16(kN, 95 + t)));
+    }
+    injector.WaitForStalled(1);
+    for (const std::string& name : names) {
+      RATEL_RETURN_IF_ERROR(adam->DrainTensor(name));  // all published
+    }
+    std::thread release([this] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      injector.ReleaseStalled();
+    });
+    const Status saved = save();
+    release.join();
+    return saved;
+  }
+};
+
+// The v1 master-weight checkpoint must fence through the optimizer:
+// draining the engine underneath it would consume the write tickets the
+// reaper has yet to wait on, and the reaper would record that as the
+// tensors' sticky error.
+TEST(AsyncOptimTest, V1CheckpointSaveLeavesTheAsyncOptimizerHealthy) {
+  ParkableOptimizer opt("v1_save");
+  const std::string path = TempDir("v1_save") + ".ckpt";
+  const Status saved = opt.SaveWhileWritebacksQueued(
+      [&] { return checkpoint::Save(*opt.adam, opt.names, path); });
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  auto entries = checkpoint::Load(path);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), opt.names.size());
+  for (size_t t = 0; t < opt.names.size(); ++t) {
+    std::vector<float> master;
+    const Status fetched = opt.adam->FetchMasterParams(opt.names[t], &master);
+    ASSERT_TRUE(fetched.ok()) << opt.names[t] << ": " << fetched.ToString();
+    EXPECT_EQ((*entries)[t].name, opt.names[t]);
+    EXPECT_TRUE(BitwiseEqual((*entries)[t].values, master)) << opt.names[t];
+  }
+  EXPECT_TRUE(opt.adam->DrainAll().ok());
+}
+
 TEST(AsyncOptimTest, ErrorsSurfaceInAsyncModeToo) {
   auto engine = OpenEngine("err");
   ASSERT_TRUE(engine.ok());
@@ -712,6 +793,44 @@ TEST(AsyncOptimTrainerTest, AsyncTrainingIsBitwiseTheSyncTrajectory) {
   EXPECT_EQ(sync.xfer.Flow(FlowClass::kDeferredState).bytes_written, 0);
   EXPECT_EQ(sync.last.drain_stall_s, 0.0);
   EXPECT_EQ(sync.last.optimizer_overlap_s, 0.0);
+}
+
+TEST(AsyncOptimTrainerTest, NanHotFractionFromTheEnvironmentIsRejected) {
+  // atof("nan") is NaN, and the partitioner's ceil-to-int64 cast of a
+  // NaN is undefined: Create must refuse it up front.
+  ::setenv("RATEL_ASYNC_HOT_FRACTION", "nan", 1);
+  ag::TinyGpt model(SmallConfig(), /*seed=*/44);
+  TrainerOptions opts;
+  opts.store_dir = TempDir("nan_hot");
+  opts.async_optimizer = true;
+  auto trainer = RatelTrainer::Create(&model, opts);
+  ::unsetenv("RATEL_ASYNC_HOT_FRACTION");
+  ASSERT_FALSE(trainer.ok());
+  EXPECT_EQ(trainer.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A trainer shares its engine with another tenant's async optimizer
+// (the JobManager layout) and checkpoints while that tenant's
+// writebacks are queued: the save must fence only its own optimizer.
+TEST(AsyncOptimTrainerTest, CheckpointLeavesASharedEngineTenantHealthy) {
+  ParkableOptimizer other("shared_ckpt");
+  ag::TinyGpt model(SmallConfig(), /*seed=*/44);
+  TrainerOptions opts;
+  opts.shared_engine = other.engine->get();
+  opts.tenant = 2;
+  opts.key_namespace = "b/";
+  auto trainer = RatelTrainer::Create(&model, opts);
+  ASSERT_TRUE(trainer.ok()) << trainer.status().ToString();
+  Rng rng(5);
+  std::vector<int64_t> ids, targets;
+  MakeBatch(rng, 2 * SmallConfig().seq_len, SmallConfig().vocab_size, &ids,
+            &targets);
+  ASSERT_TRUE((*trainer)->TrainStep(ids, targets, /*batch=*/2).ok());
+  const Status saved = other.SaveWhileWritebacksQueued(
+      [&] { return (*trainer)->SaveCheckpoint(TempDir("shared_ckpt_b")); });
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  const Status drained = other.adam->DrainAll();
+  EXPECT_TRUE(drained.ok()) << drained.ToString();
 }
 
 TEST(AsyncOptimTrainerTest, CrashDuringPendingTailEpochRecoversViaCheckpoint) {

@@ -68,6 +68,18 @@ checkpoint::TrainState MakeState(int64_t step) {
   return state;
 }
 
+// The writer takes views; these point into `state`, which must outlive
+// the save (a temporary does: it lives to the end of the call).
+checkpoint::TrainStateView ViewOf(const checkpoint::TrainState& state) {
+  checkpoint::TrainStateView view;
+  view.step = state.step;
+  for (const checkpoint::TensorState& t : state.tensors) {
+    view.tensors.push_back({t.name, t.adam_step, t.p32.data(), t.m.data(),
+                            t.v.data(), static_cast<int64_t>(t.p32.size())});
+  }
+  return view;
+}
+
 int64_t FileSize(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
@@ -97,7 +109,7 @@ TEST(CheckpointV2Test, SaveStateLoadStateRoundTripsBitwise) {
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
   const checkpoint::TrainState state = MakeState(42);
-  ASSERT_TRUE(checkpoint::SaveState(state, path).ok());
+  ASSERT_TRUE(checkpoint::SaveState(ViewOf(state), path).ok());
   // The shadow file was renamed away: only the published name remains.
   EXPECT_EQ(FileSize(path + ".tmp"), -1);
 
@@ -118,7 +130,7 @@ TEST(CheckpointV2Test, TruncatedFileIsDetectedAsDataLoss) {
   const std::string dir = TempDir("torn");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
+  ASSERT_TRUE(checkpoint::SaveState(ViewOf(MakeState(7)), path).ok());
   TruncateFile(path, /*drop_bytes=*/33);
   const auto loaded = checkpoint::LoadState(path);
   ASSERT_FALSE(loaded.ok());
@@ -129,7 +141,7 @@ TEST(CheckpointV2Test, CorruptedPayloadByteFailsTheShardChecksum) {
   const std::string dir = TempDir("rot");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(7), path).ok());
+  ASSERT_TRUE(checkpoint::SaveState(ViewOf(MakeState(7)), path).ok());
   // Flip one bit in the middle of a tensor payload: the size and
   // structure still parse, only the CRC can catch it.
   FlipByte(path, FileSize(path) / 2);
@@ -142,7 +154,7 @@ TEST(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
   const std::string dir = TempDir("magic");
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   const std::string path = dir + "/state.ckpt";
-  ASSERT_TRUE(checkpoint::SaveState(MakeState(1), path).ok());
+  ASSERT_TRUE(checkpoint::SaveState(ViewOf(MakeState(1)), path).ok());
   FlipByte(path, 0);
   EXPECT_EQ(checkpoint::LoadState(path).status().code(),
             StatusCode::kDataLoss);
@@ -150,9 +162,9 @@ TEST(CheckpointV2Test, BadMagicIsDataLossNotAParseAccident) {
 
 TEST(CheckpointV2Test, LoadLatestFallsBackPastATornNewestEpoch) {
   const std::string dir = TempDir("fallback");
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(3)).ok());
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(5)).ok());
-  ASSERT_TRUE(checkpoint::SaveVersioned(dir, MakeState(9)).ok());
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, ViewOf(MakeState(3))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, ViewOf(MakeState(5))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, ViewOf(MakeState(9))).ok());
   // Power cut "during" epoch 9: the newest file is torn. LoadLatest
   // must detect it via checksums and resume from epoch 5 instead.
   TruncateFile(checkpoint::VersionedPath(dir, 9), /*drop_bytes=*/100);
@@ -177,6 +189,59 @@ TEST(CheckpointV2Test, LoadLatestOnEmptyOrMissingDirIsNotFound) {
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   EXPECT_EQ(checkpoint::LoadLatest(dir).status().code(),
             StatusCode::kNotFound);
+}
+
+// A length field the file cannot hold must fail the load with a Status
+// before anything is allocated from it: the element count of a shard
+// precedes the shard's CRC, so the checksum alone would come too late.
+TEST(CheckpointV2Test, LyingTensorLengthIsDataLossAndLoadLatestFallsBack) {
+  const std::string dir = TempDir("lying_n");
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, ViewOf(MakeState(3))).ok());
+  ASSERT_TRUE(checkpoint::SaveVersioned(dir, ViewOf(MakeState(9))).ok());
+  // Header: magic 8 | version 4 | step 8 | count 4 | CRC 4; then the
+  // first shard's name length 4 | "wte" 3 | element count 8. Flipping
+  // bit 6 of the count's fourth byte claims 2^30 + 257 elements: three
+  // 4 GiB arrays if believed.
+  const int64_t n_offset = 8 + 4 + 8 + 4 + 4 + 4 + 3;
+  FlipByte(checkpoint::VersionedPath(dir, 9), n_offset + 3);
+  EXPECT_EQ(checkpoint::LoadState(checkpoint::VersionedPath(dir, 9))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  auto latest = checkpoint::LoadLatest(dir);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->step, 3);
+}
+
+TEST(CheckpointV1Test, LyingCountOrLengthIsInvalidArgument) {
+  const std::string dir = TempDir("v1_lying");
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  const std::string path = dir + "/model.ckpt";
+  auto write_v1 = [&](uint32_t count, uint64_t n) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint32_t version = 1;
+    const uint32_t name_len = 1;
+    const float payload[2] = {1.0f, 2.0f};
+    std::fwrite("RATELCKP", 1, 8, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&count, sizeof(count), 1, f);
+    std::fwrite(&name_len, sizeof(name_len), 1, f);
+    std::fwrite("w", 1, 1, f);
+    std::fwrite(&n, sizeof(n), 1, f);
+    std::fwrite(payload, sizeof(float), 2, f);
+    ASSERT_EQ(std::fclose(f), 0);
+  };
+  write_v1(/*count=*/1, /*n=*/2);  // the honest file loads
+  ASSERT_TRUE(checkpoint::Load(path).ok());
+  // No checksum covers the v1 count: ~4G entries claimed.
+  write_v1(/*count=*/0xFFFFFFFFu, /*n=*/2);
+  EXPECT_EQ(checkpoint::Load(path).status().code(),
+            StatusCode::kInvalidArgument);
+  // 32 GiB of floats claimed by an entry with 8 payload bytes.
+  write_v1(/*count=*/1, /*n=*/uint64_t{1} << 33);
+  EXPECT_EQ(checkpoint::Load(path).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------- Trainer crash/recovery determinism ----------

@@ -80,9 +80,11 @@ TrainRun TrainTinyGpt(int threads, int steps) {
     size_t p = 0;
     for (auto& [name, var] : model.parameters()) {
       const std::vector<float>& grad = var.grad();
-      kernel.Step(step, static_cast<int64_t>(grad.size()), grad.data(),
-                  var.mutable_value().data(), exp_avg[p].data(),
-                  exp_avg_sq[p].data(), /*params16_out=*/nullptr);
+      float* value = var.mutable_value().data();
+      kernel.StepSerialOut(step, static_cast<int64_t>(grad.size()),
+                           grad.data(), value, exp_avg[p].data(),
+                           exp_avg_sq[p].data(), value, exp_avg[p].data(),
+                           exp_avg_sq[p].data());
       ++p;
     }
   }
@@ -128,31 +130,63 @@ TEST(DeterminismTest, ForwardLogitsAreBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, ParallelAdamMatchesScalarReferenceBitwise) {
-  // n spans multiple 4096-element chunks plus a ragged tail.
+  // The one update entry point against the plain-loop reference: n
+  // spans several 4096-element chunks plus a ragged tail, the grid is
+  // split across two calls (odd chunks, then even ones), and the result
+  // must be bitwise the reference at 1 and 4 threads.
   const int64_t n = 3 * CpuAdamKernel::kChunk + 1234;
   AdamConfig cfg;
   cfg.lr = 2e-3;
   cfg.weight_decay = 0.05;
   CpuAdamKernel kernel(cfg);
+  const float unscale = 1.0f / 512.0f;
 
   std::vector<float> p_ref = RandomVec(n, 1);
   std::vector<float> m_ref(n, 0.0f), v_ref(n, 0.0f);
-  std::vector<float> p_par = p_ref, m_par = m_ref, v_par = v_ref;
-  std::vector<Fp16> p16_ref(n), p16_par(n);
-
-  SetComputeThreads(4);
-  for (int step = 1; step <= 3; ++step) {
-    const std::vector<float> g = RandomVec(n, 100 + step);
-    kernel.StepSerial(step, n, g.data(), p_ref.data(), m_ref.data(),
-                      v_ref.data(), p16_ref.data());
-    kernel.Step(step, n, g.data(), p_par.data(), m_par.data(), v_par.data(),
-                p16_par.data());
+  std::vector<int64_t> odds, evens;
+  for (int64_t c : CpuAdamKernel::AllChunks(n)) {
+    (c % 2 == 1 ? odds : evens).push_back(c);
   }
-  SetComputeThreads(1);
-  EXPECT_TRUE(BitwiseEqual(p_ref, p_par));
-  EXPECT_TRUE(BitwiseEqual(m_ref, m_par));
-  EXPECT_TRUE(BitwiseEqual(v_ref, v_par));
-  EXPECT_EQ(std::memcmp(p16_ref.data(), p16_par.data(), n * sizeof(Fp16)), 0);
+  std::vector<std::vector<Fp16>> grads(3, std::vector<Fp16>(n));
+  for (int step = 1; step <= 3; ++step) {
+    const std::vector<float> g32 = RandomVec(n, 100 + step);
+    std::vector<float> widened(n);
+    for (int64_t i = 0; i < n; ++i) {
+      grads[step - 1][i] = FloatToHalf(g32[i] * 512.0f);
+      widened[i] = HalfToFloat(grads[step - 1][i]) * unscale;
+    }
+    kernel.StepSerialOut(step, n, widened.data(), p_ref.data(), m_ref.data(),
+                         v_ref.data(), p_ref.data(), m_ref.data(),
+                         v_ref.data());
+  }
+
+  // Fan out even at this size, on any host: genuine interleaving.
+  const int64_t saved_cutoff = SerialCutoff(KernelCost::kAdam);
+  SetSerialCutoff(KernelCost::kAdam, 0);
+  SetParallelOversubscribe(true);
+  for (int threads : {1, 4}) {
+    SetComputeThreads(threads);
+    ResetDispatchStats();
+    std::vector<float> p = RandomVec(n, 1), m(n, 0.0f), v(n, 0.0f);
+    for (int step = 1; step <= 3; ++step) {
+      // Out of place from the previous state, as the engine runs it.
+      const std::vector<float> p_in = p, m_in = m, v_in = v;
+      for (const std::vector<int64_t>* chunks : {&odds, &evens}) {
+        kernel.StepChunks(step, n, grads[step - 1].data(), *chunks,
+                          CpuAdamKernel::kChunk, p_in.data(), m_in.data(),
+                          v_in.data(), p.data(), m.data(), v.data(), unscale);
+      }
+    }
+    SetComputeThreads(1);
+    if (threads > 1) {
+      EXPECT_GT(DispatchStatsFor(KernelCost::kAdam).pooled, 0);
+    }
+    EXPECT_TRUE(BitwiseEqual(p_ref, p)) << threads << " threads";
+    EXPECT_TRUE(BitwiseEqual(m_ref, m)) << threads << " threads";
+    EXPECT_TRUE(BitwiseEqual(v_ref, v)) << threads << " threads";
+  }
+  SetParallelOversubscribe(false);
+  SetSerialCutoff(KernelCost::kAdam, saved_cutoff);
 }
 
 TEST(DeterminismTest, Fp16GradAdamIsBitwiseIdenticalAcrossThreadCounts) {
@@ -168,10 +202,11 @@ TEST(DeterminismTest, Fp16GradAdamIsBitwiseIdenticalAcrossThreadCounts) {
   auto run = [&](int threads) {
     SetComputeThreads(threads);
     std::vector<float> p = RandomVec(n, 2), m(n, 0.0f), v(n, 0.0f);
-    std::vector<Fp16> p16(n);
     for (int step = 1; step <= 2; ++step) {
-      kernel.StepFp16Grads(step, n, g16.data(), p.data(), m.data(), v.data(),
-                           p16.data(), /*grad_unscale=*/1.0f / 1024.0f);
+      kernel.StepChunks(step, n, g16.data(), CpuAdamKernel::AllChunks(n),
+                        CpuAdamKernel::kChunk, p.data(), m.data(), v.data(),
+                        p.data(), m.data(), v.data(),
+                        /*grad_unscale=*/1.0f / 1024.0f);
     }
     SetComputeThreads(1);
     return p;

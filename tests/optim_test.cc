@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "runtime/compute_pool.h"
 
 namespace ratel {
 namespace {
@@ -38,8 +39,8 @@ TEST(CpuAdamTest, MatchesReferenceOverManySteps) {
     for (int64_t i = 0; i < kN; ++i) {
       grads[i] = static_cast<float>(rng.NextGaussian() * 0.1);
     }
-    kernel.Step(t, kN, grads.data(), params.data(), m.data(), v.data(),
-                nullptr);
+    kernel.StepSerialOut(t, kN, grads.data(), params.data(), m.data(),
+                         v.data(), params.data(), m.data(), v.data());
     for (int64_t i = 0; i < kN; ++i) {
       ReferenceAdamStep(cfg, t, grads[i], &rparams[i], &rm[i], &rv[i]);
     }
@@ -55,10 +56,11 @@ TEST(CpuAdamTest, WeightDecayShrinksParameters) {
   cfg.weight_decay = 0.1;
   CpuAdamKernel kernel(cfg);
   std::vector<float> params{1.0f}, m{0.0f}, v{0.0f};
-  std::vector<float> zero_grad{0.0f};
+  std::vector<Fp16> zero_grad{FloatToHalf(0.0f)};
   const float before = params[0];
-  kernel.Step(1, 1, zero_grad.data(), params.data(), m.data(), v.data(),
-              nullptr);
+  kernel.StepChunks(1, 1, zero_grad.data(), CpuAdamKernel::AllChunks(1),
+                    CpuAdamKernel::kChunk, params.data(), m.data(), v.data(),
+                    params.data(), m.data(), v.data());
   EXPECT_LT(params[0], before);  // decay acts even with zero gradient
 }
 
@@ -70,45 +72,34 @@ TEST(CpuAdamTest, DescendsQuadraticBowl) {
   std::vector<float> x{5.0f}, m{0.0f}, v{0.0f};
   for (int64_t t = 1; t <= 400; ++t) {
     std::vector<float> g{x[0]};
-    kernel.Step(t, 1, g.data(), x.data(), m.data(), v.data(), nullptr);
+    kernel.StepSerialOut(t, 1, g.data(), x.data(), m.data(), v.data(),
+                         x.data(), m.data(), v.data());
   }
   EXPECT_NEAR(x[0], 0.0f, 0.05f);
 }
 
-TEST(CpuAdamTest, EmitsFp16CopyMatchingMaster) {
-  AdamConfig cfg;
-  CpuAdamKernel kernel(cfg);
-  constexpr int64_t kN = 16;
-  std::vector<float> params(kN, 0.5f), m(kN, 0.0f), v(kN, 0.0f);
-  std::vector<float> grads(kN, 1.0f);
-  std::vector<Fp16> p16(kN);
-  kernel.Step(1, kN, grads.data(), params.data(), m.data(), v.data(),
-              p16.data());
-  for (int64_t i = 0; i < kN; ++i) {
-    EXPECT_NEAR(HalfToFloat(p16[i]), params[i], 1e-3f);
-  }
-}
-
-TEST(CpuAdamTest, Fp16GradPathMatchesFp32Path) {
-  AdamConfig cfg;
-  cfg.lr = 1e-2;
-  CpuAdamKernel kernel(cfg);
-  constexpr int64_t kN = 8192;  // spans multiple conversion tiles
-  Rng rng(17);
-  std::vector<float> g32(kN);
-  std::vector<Fp16> g16(kN);
-  for (int64_t i = 0; i < kN; ++i) {
-    g16[i] = FloatToHalf(static_cast<float>(rng.NextGaussian()));
-    g32[i] = HalfToFloat(g16[i]);  // identical numeric inputs
-  }
-  std::vector<float> pa(kN, 1.0f), ma(kN, 0.0f), va(kN, 0.0f);
-  std::vector<float> pb(kN, 1.0f), mb(kN, 0.0f), vb(kN, 0.0f);
-  kernel.Step(1, kN, g32.data(), pa.data(), ma.data(), va.data(), nullptr);
-  kernel.StepFp16Grads(1, kN, g16.data(), pb.data(), mb.data(), vb.data(),
-                       nullptr);
-  for (int64_t i = 0; i < kN; ++i) {
-    ASSERT_FLOAT_EQ(pa[i], pb[i]) << i;
-  }
+TEST(CpuAdamTest, DispatchCostCountsOnlyCoveredElements) {
+  // Two chunks, the second one element long: the estimate (16 ops per
+  // element) must count kChunk + 1 elements, not 2 * kChunk, so a
+  // cutoff between the two keeps the step serial.
+  const int64_t n = CpuAdamKernel::kChunk + 1;
+  CpuAdamKernel kernel(AdamConfig{});
+  std::vector<Fp16> g(n, FloatToHalf(0.5f));
+  std::vector<float> p(n, 1.0f), m(n, 0.0f), v(n, 0.0f);
+  const int64_t saved_cutoff = SerialCutoff(KernelCost::kAdam);
+  SetParallelOversubscribe(true);
+  SetComputeThreads(2);
+  SetSerialCutoff(KernelCost::kAdam, 16 * n);
+  ResetDispatchStats();
+  kernel.StepChunks(1, n, g.data(), CpuAdamKernel::AllChunks(n),
+                    CpuAdamKernel::kChunk, p.data(), m.data(), v.data(),
+                    p.data(), m.data(), v.data());
+  const DispatchCounts counts = DispatchStatsFor(KernelCost::kAdam);
+  SetSerialCutoff(KernelCost::kAdam, saved_cutoff);
+  SetComputeThreads(1);
+  SetParallelOversubscribe(false);
+  EXPECT_EQ(counts.serial, 1);
+  EXPECT_EQ(counts.pooled, 0);
 }
 
 TEST(ChunkedCpuAdamTest, RegisterAndStep) {
@@ -118,9 +109,7 @@ TEST(ChunkedCpuAdamTest, RegisterAndStep) {
   EXPECT_EQ(adam.StateBytes(), 3 * 12);
   std::vector<Fp16> grads{FloatToHalf(0.1f), FloatToHalf(0.1f),
                           FloatToHalf(0.1f)};
-  std::vector<Fp16> p16;
-  ASSERT_TRUE(adam.StepTensor("w", grads, &p16).ok());
-  ASSERT_EQ(p16.size(), 3u);
+  ASSERT_TRUE(adam.StepTensor("w", grads).ok());
   auto master = adam.MasterParams("w");
   ASSERT_TRUE(master.ok());
   EXPECT_LT((**master)[0], 1.0f);  // moved against positive gradient
@@ -131,9 +120,9 @@ TEST(ChunkedCpuAdamTest, ErrorsSurfaceAsStatus) {
   ASSERT_TRUE(adam.Register("w", {1.0f}).ok());
   EXPECT_EQ(adam.Register("w", {1.0f}).code(), StatusCode::kAlreadyExists);
   std::vector<Fp16> wrong_size{0, 0};
-  EXPECT_EQ(adam.StepTensor("w", wrong_size, nullptr).code(),
+  EXPECT_EQ(adam.StepTensor("w", wrong_size).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(adam.StepTensor("missing", wrong_size, nullptr).code(),
+  EXPECT_EQ(adam.StepTensor("missing", wrong_size).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(adam.MasterParams("missing").status().code(),
             StatusCode::kNotFound);
@@ -146,10 +135,10 @@ TEST(ChunkedCpuAdamTest, PerTensorStepCountsIndependent) {
   ASSERT_TRUE(adam.Register("a", {1.0f}).ok());
   ASSERT_TRUE(adam.Register("b", {1.0f}).ok());
   std::vector<Fp16> g{FloatToHalf(0.5f)};
-  ASSERT_TRUE(adam.StepTensor("a", g, nullptr).ok());
-  ASSERT_TRUE(adam.StepTensor("a", g, nullptr).ok());
-  ASSERT_TRUE(adam.StepTensor("b", g, nullptr).ok());
-  ASSERT_TRUE(adam.StepTensor("b", g, nullptr).ok());
+  ASSERT_TRUE(adam.StepTensor("a", g).ok());
+  ASSERT_TRUE(adam.StepTensor("a", g).ok());
+  ASSERT_TRUE(adam.StepTensor("b", g).ok());
+  ASSERT_TRUE(adam.StepTensor("b", g).ok());
   auto a = adam.MasterParams("a");
   auto b = adam.MasterParams("b");
   ASSERT_TRUE(a.ok() && b.ok());

@@ -183,7 +183,7 @@ TEST(OutOfCoreAdamTest, MatchesInMemoryChunkedAdam) {
       v = FloatToHalf(static_cast<float>(rng.NextGaussian() * 0.1));
     }
     ASSERT_TRUE(ooc.StepTensor("w", g).ok());
-    ASSERT_TRUE(ram.StepTensor("w", g, nullptr).ok());
+    ASSERT_TRUE(ram.StepTensor("w", g).ok());
   }
   std::vector<float> master;
   ASSERT_TRUE(ooc.FetchMasterParams("w", &master).ok());

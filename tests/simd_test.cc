@@ -258,110 +258,64 @@ TEST_F(SimdTest, Fp16ConversionsAreBitwiseAcrossBackends) {
       << "floats_to_halves";
 }
 
-TEST_F(SimdTest, AdamStepsAreBitwiseAcrossBackendsAndVsSerialReference) {
-  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
-  const int64_t n = 1234;
-  AdamConfig cfg;
-  cfg.lr = 1e-3;
-  cfg.weight_decay = 0.01;
-  CpuAdamKernel kernel(cfg);
-  const std::vector<float> p0 = RandomVec(n, 18);
-  const std::vector<float> g = RandomVec(n, 19);
-  const std::vector<Fp16> g16 = RandomHalves(n, 20);
-
-  // Serial plain-loop reference (fp32 grads).
-  std::vector<float> p_ref = p0, m_ref(n, 0.0f), v_ref(n, 0.0f);
-  std::vector<Fp16> h_ref(n);
-  for (int step = 1; step <= 3; ++step) {
-    kernel.StepSerialOut(step, n, g.data(), p_ref.data(), m_ref.data(),
-                         v_ref.data(), p_ref.data(), m_ref.data(),
-                         v_ref.data(), h_ref.data());
-  }
-
-  for (simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
-    ASSERT_TRUE(simd::SetMode(mode));
-    std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
-    std::vector<Fp16> h(n);
-    for (int step = 1; step <= 3; ++step) {
-      kernel.Step(step, n, g.data(), p.data(), m.data(), v.data(), h.data());
-    }
-    EXPECT_TRUE(BitwiseEqual(p_ref, p)) << simd::ModeName(mode);
-    EXPECT_TRUE(BitwiseEqual(m_ref, m)) << simd::ModeName(mode);
-    EXPECT_TRUE(BitwiseEqual(v_ref, v)) << simd::ModeName(mode);
-    EXPECT_EQ(0, std::memcmp(h_ref.data(), h.data(), n * sizeof(Fp16)))
-        << simd::ModeName(mode);
-  }
-
-  // fp16-grad path: both backends must agree bitwise with the scalar
-  // widen-then-StepSerialOut composition.
-  const float unscale = 0.5f;
-  std::vector<float> gw(n);
-  for (int64_t i = 0; i < n; ++i) gw[i] = HalfToFloat(g16[i]) * unscale;
-  std::vector<float> p16ref = p0, m16ref(n, 0.0f), v16ref(n, 0.0f);
-  std::vector<Fp16> h16ref(n);
-  kernel.StepSerialOut(1, n, gw.data(), p16ref.data(), m16ref.data(),
-                       v16ref.data(), p16ref.data(), m16ref.data(),
-                       v16ref.data(), h16ref.data());
-  for (simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
-    ASSERT_TRUE(simd::SetMode(mode));
-    std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
-    std::vector<Fp16> h(n);
-    kernel.StepFp16Grads(1, n, g16.data(), p.data(), m.data(), v.data(),
-                         h.data(), unscale);
-    EXPECT_TRUE(BitwiseEqual(p16ref, p)) << simd::ModeName(mode);
-    EXPECT_TRUE(BitwiseEqual(m16ref, m)) << simd::ModeName(mode);
-    EXPECT_TRUE(BitwiseEqual(v16ref, v)) << simd::ModeName(mode);
-    EXPECT_EQ(0, std::memcmp(h16ref.data(), h.data(), n * sizeof(Fp16)))
-        << simd::ModeName(mode);
-  }
-}
-
-// Satellite regression: StepFp16GradsChunksOut's fused (vectorized)
-// half->float conversion must reproduce the widen-then-serial reference
-// bitwise, for any split of the chunk grid across calls.
-TEST_F(SimdTest, Fp16ChunkStepsMatchSerialReferenceBitwise) {
-  const int64_t n = 3 * CpuAdamKernel::kChunk + 123;
-  AdamConfig cfg;
-  cfg.lr = 2e-3;
-  cfg.weight_decay = 0.02;
+// StepChunks over `steps` steps must be bitwise the widen-then-
+// StepSerialOut reference in each of `modes`, with the grid applied as
+// two disjoint calls per step (even chunks, then odd ones).
+void ExpectChunkStepsMatchSerialReference(const AdamConfig& cfg, int64_t n,
+                                          int steps, float unscale,
+                                          const std::vector<simd::Mode>& modes) {
   CpuAdamKernel kernel(cfg);
   const std::vector<float> p0 = RandomVec(n, 21);
   const std::vector<Fp16> g16 = RandomHalves(n, 22);
-  const float unscale = 1.75f;
-
   std::vector<float> gw(n);
   for (int64_t i = 0; i < n; ++i) gw[i] = HalfToFloat(g16[i]) * unscale;
   std::vector<float> p_ref = p0, m_ref(n, 0.0f), v_ref(n, 0.0f);
-  std::vector<Fp16> h_ref(n);
-  kernel.StepSerialOut(1, n, gw.data(), p_ref.data(), m_ref.data(),
-                       v_ref.data(), p_ref.data(), m_ref.data(), v_ref.data(),
-                       h_ref.data());
-
-  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
-  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+  for (int step = 1; step <= steps; ++step) {
+    kernel.StepSerialOut(step, n, gw.data(), p_ref.data(), m_ref.data(),
+                         v_ref.data(), p_ref.data(), m_ref.data(),
+                         v_ref.data());
+  }
+  std::vector<int64_t> evens, odds;
+  for (int64_t c : CpuAdamKernel::AllChunks(n)) {
+    (c % 2 == 0 ? evens : odds).push_back(c);
+  }
   for (simd::Mode mode : modes) {
     ASSERT_TRUE(simd::SetMode(mode));
     std::vector<float> p = p0, m(n, 0.0f), v(n, 0.0f);
-    std::vector<Fp16> h(n);
-    // Apply the grid as two disjoint calls (evens, then odds).
-    std::vector<int64_t> evens, odds;
-    const int64_t num_chunks =
-        (n + CpuAdamKernel::kChunk - 1) / CpuAdamKernel::kChunk;
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      (c % 2 == 0 ? evens : odds).push_back(c);
-    }
-    for (const auto& chunks : {evens, odds}) {
-      kernel.StepFp16GradsChunksOut(1, n, g16.data(), chunks,
-                                    CpuAdamKernel::kChunk, p.data(), m.data(),
-                                    v.data(), p.data(), m.data(), v.data(),
-                                    h.data(), unscale);
+    for (int step = 1; step <= steps; ++step) {
+      for (const auto& chunks : {evens, odds}) {
+        kernel.StepChunks(step, n, g16.data(), chunks, CpuAdamKernel::kChunk,
+                          p.data(), m.data(), v.data(), p.data(), m.data(),
+                          v.data(), unscale);
+      }
     }
     EXPECT_TRUE(BitwiseEqual(p_ref, p)) << simd::ModeName(mode);
     EXPECT_TRUE(BitwiseEqual(m_ref, m)) << simd::ModeName(mode);
     EXPECT_TRUE(BitwiseEqual(v_ref, v)) << simd::ModeName(mode);
-    EXPECT_EQ(0, std::memcmp(h_ref.data(), h.data(), n * sizeof(Fp16)))
-        << simd::ModeName(mode);
   }
+}
+
+TEST_F(SimdTest, AdamStepsAreBitwiseAcrossBackendsAndVsSerialReference) {
+  if (!simd::HostHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
+  AdamConfig cfg;
+  cfg.lr = 1e-3;
+  cfg.weight_decay = 0.01;
+  ExpectChunkStepsMatchSerialReference(
+      cfg, /*n=*/1234, /*steps=*/3, /*unscale=*/0.5f,
+      {simd::Mode::kScalar, simd::Mode::kAvx2});
+}
+
+// Satellite regression: StepChunks' fused (vectorized) half->float
+// conversion must reproduce the widen-then-serial reference bitwise,
+// for any split of the chunk grid across calls.
+TEST_F(SimdTest, Fp16ChunkStepsMatchSerialReferenceBitwise) {
+  AdamConfig cfg;
+  cfg.lr = 2e-3;
+  cfg.weight_decay = 0.02;
+  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
+  if (simd::HostHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+  ExpectChunkStepsMatchSerialReference(cfg, 3 * CpuAdamKernel::kChunk + 123,
+                                       /*steps=*/1, /*unscale=*/1.75f, modes);
 }
 
 // ---------------------------------------------------------------------
@@ -404,9 +358,11 @@ TrainRun TrainTinyGpt(int threads, int steps) {
     size_t p = 0;
     for (auto& [name, var] : model.parameters()) {
       const std::vector<float>& grad = var.grad();
-      kernel.Step(step, static_cast<int64_t>(grad.size()), grad.data(),
-                  var.mutable_value().data(), exp_avg[p].data(),
-                  exp_avg_sq[p].data(), /*params16_out=*/nullptr);
+      float* value = var.mutable_value().data();
+      kernel.StepSerialOut(step, static_cast<int64_t>(grad.size()),
+                           grad.data(), value, exp_avg[p].data(),
+                           exp_avg_sq[p].data(), value, exp_avg[p].data(),
+                           exp_avg_sq[p].data());
       ++p;
     }
   }

@@ -164,14 +164,16 @@ TEST(LossScalingTest, KernelUnscaleInvertsScale) {
   std::vector<Fp16> ga(kN);
   for (int64_t i = 0; i < kN; ++i) ga[i] = FloatToHalf(grads[i]);
   std::vector<float> pa(kN, 1.0f), ma(kN, 0.0f), va(kN, 0.0f);
-  kernel.StepFp16Grads(1, kN, ga.data(), pa.data(), ma.data(), va.data(),
-                       nullptr);
+  const std::vector<int64_t> all = CpuAdamKernel::AllChunks(kN);
+  kernel.StepChunks(1, kN, ga.data(), all, CpuAdamKernel::kChunk, pa.data(),
+                    ma.data(), va.data(), pa.data(), ma.data(), va.data());
   // Path B: grads scaled by 1024 before the cast, unscaled in the kernel.
   std::vector<Fp16> gb(kN);
   for (int64_t i = 0; i < kN; ++i) gb[i] = FloatToHalf(grads[i] * 1024.0f);
   std::vector<float> pb(kN, 1.0f), mb(kN, 0.0f), vb(kN, 0.0f);
-  kernel.StepFp16Grads(1, kN, gb.data(), pb.data(), mb.data(), vb.data(),
-                       nullptr, 1.0f / 1024.0f);
+  kernel.StepChunks(1, kN, gb.data(), all, CpuAdamKernel::kChunk, pb.data(),
+                    mb.data(), vb.data(), pb.data(), mb.data(), vb.data(),
+                    1.0f / 1024.0f);
   for (int64_t i = 0; i < kN; ++i) {
     EXPECT_NEAR(pa[i], pb[i], 2e-5f) << i;
   }
@@ -187,8 +189,9 @@ TEST(LossScalingTest, RescuesSubUnderflowGradients) {
   const float scale = 16384.0f;
   std::vector<Fp16> scaled{FloatToHalf(tiny * scale)};
   std::vector<float> p{1.0f}, m{0.0f}, v{0.0f};
-  kernel.StepFp16Grads(1, 1, scaled.data(), p.data(), m.data(), v.data(),
-                       nullptr, 1.0f / scale);
+  kernel.StepChunks(1, 1, scaled.data(), CpuAdamKernel::AllChunks(1),
+                    CpuAdamKernel::kChunk, p.data(), m.data(), v.data(),
+                    p.data(), m.data(), v.data(), 1.0f / scale);
   EXPECT_NE(m[0], 0.0f);  // the moment saw the gradient
   EXPECT_NEAR(m[0], 0.1f * tiny, 0.02f * tiny);
 }
